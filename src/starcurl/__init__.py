@@ -16,8 +16,7 @@ from .fields import (ModulusTable, VectorField, dini_integral,
 from .geometry import (StarDomain, ball, box, contains, ellipsoid,
                        parse_domain, radial, radial_from_function,
                        sample_interior, validate_star_shape)
-from .kernels import (KernelEvaluation, evaluate_kernels, grad_kernel_N,
-                      kernel_N, kernel_N_form, kernel_N_tilde)
+from .kernels import grad_kernel_N, kernel_N, kernel_N_form, kernel_N_tilde
 from .operators import (CurlInverseOp, FieldSampleGrid, bogovskii,
                         boundary_flux_term, curl_inverse, curl_inverse_eps,
                         curl_of_curl_inverse, eval_grid, grad_curl_inverse,

@@ -26,7 +26,6 @@ __all__ = [
     "registry_get",
     "registry_names",
     "parse_field",
-    "field_spec_string",
     "modulus_of_continuity",
     "dini_integral",
 ]
@@ -224,12 +223,6 @@ def parse_field(spec: str) -> VectorField:
     except ValueError as e:
         raise ValueError(f"bad field parameters in {spec!r}") from e
     return registry_get(name, *params)
-
-
-def field_spec_string(f: VectorField) -> str:
-    if f.params:
-        return f.name + ":" + ",".join(repr(float(p)) for p in f.params)
-    return f.name
 
 
 @dataclass(frozen=True)

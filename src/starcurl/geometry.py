@@ -33,20 +33,15 @@ __all__ = [
     "radial",
     "radial_from_function",
     "parse_domain",
-    "domain_spec_string",
     "contains",
     "boundary_distance",
     "radial_gap",
     "ray_segments",
+    "convex_ray_exit",
     "validate_star_shape",
-    "normalize_domain",
-    "DomainNormalization",
     "sample_interior",
     "sample_directions",
 ]
-
-_EPS_RAY = 1e-14
-
 
 @dataclass(frozen=True)
 class StarDomain:
@@ -106,15 +101,6 @@ class StarDomain:
     @property
     def diameter(self) -> float:
         return 2.0 * self.circumradius
-
-    def scaled(self, factor: float) -> "StarDomain":
-        """The image of this domain under x -> factor * x."""
-        if factor <= 0.0:
-            raise ValueError("scale factor must be positive")
-        if self.kind == "radial":
-            ct, ph, rv = self.table
-            return StarDomain("radial", table=(ct, ph, rv * factor))
-        return StarDomain(self.kind, tuple(p * factor for p in self.params))
 
 
 @dataclass(frozen=True)
@@ -212,17 +198,6 @@ def parse_domain(spec: str) -> StarDomain:
     except KeyError as exc:
         raise ValueError(f"domain spec {spec!r} is missing parameter {exc}") from exc
     raise ValueError(f"unknown domain kind in spec {spec!r}")
-
-
-def domain_spec_string(dom: StarDomain) -> str:
-    if dom.kind == "ball":
-        return f"ball:R0={dom.params[0]:g}"
-    if dom.kind == "ellipsoid":
-        a, b, c = dom.params
-        return f"ellipsoid:a={a:g},b={b:g},c={c:g}"
-    if dom.kind == "box":
-        return "box:h=" + ",".join(f"{h:g}" for h in dom.params)
-    return "radial:file=<table>"
 
 
 def _parse_kv(rest: str, listy=()):
@@ -393,53 +368,41 @@ def ray_segments(dom: StarDomain, origin, direction, t_max: float) -> RaySegment
         raise ValueError("ray direction must be a unit vector")
     if t_max <= 0.0:
         return RaySegments(origin, direction, t_max, ())
-    if dom.kind == "ball":
-        segs = _quadric_segment(origin, direction, t_max, np.ones(3) / dom.params[0])
-    elif dom.kind == "ellipsoid":
-        segs = _quadric_segment(origin, direction, t_max, 1.0 / np.asarray(dom.params))
-    elif dom.kind == "box":
-        segs = _box_segment(origin, direction, t_max, np.asarray(dom.params))
-    else:
+    if dom.kind == "radial":
         segs = _scan_segments(dom, origin, direction, t_max)
+    else:
+        # the line enters where the reversed line exits; a line parallel to a
+        # box slab that it lies outside of fails the midpoint test
+        u = direction[None, :]
+        lo = max(-float(convex_ray_exit(dom, origin, -u)[0]), 0.0)
+        hi = min(float(convex_ray_exit(dom, origin, u)[0]), t_max)
+        inside = hi > lo and contains(dom, origin + 0.5 * (lo + hi) * direction)
+        segs = ((lo, hi),) if inside else ()
     return RaySegments(origin, direction, t_max, segs)
 
 
-def _quadric_segment(x, u, t_max, inv_ax):
-    """Ball and ellipsoid share |diag(inv_ax) (x + t u)| < 1."""
-    xs = x * inv_ax
-    us = u * inv_ax
-    a = us @ us
-    b = xs @ us
-    c = xs @ xs - 1.0
-    if a < _EPS_RAY:
-        return ((0.0, t_max),) if c < 0.0 else ()
-    disc = b * b - a * c
-    if disc <= 0.0:
-        return ()
-    sq = math.sqrt(disc)
-    lo = (-b - sq) / a
-    hi = (-b + sq) / a
-    lo = max(lo, 0.0)
-    hi = min(hi, t_max)
-    return ((lo, hi),) if hi > lo else ()
-
-
-def _box_segment(x, u, t_max, h):
-    lo, hi = 0.0, t_max
-    for i in range(3):
-        if abs(u[i]) < _EPS_RAY:
-            if abs(x[i]) >= h[i]:
-                return ()
-            continue
-        t1 = (-h[i] - x[i]) / u[i]
-        t2 = (h[i] - x[i]) / u[i]
-        if t1 > t2:
-            t1, t2 = t2, t1
-        lo = max(lo, t1)
-        hi = min(hi, t2)
-        if hi <= lo:
-            return ()
-    return ((lo, hi),)
+def convex_ray_exit(dom: StarDomain, x, u):
+    """Distance along each line x + t u (one per row of the unit directions
+    ``u``) to where it leaves a ball, ellipsoid or box, as an (n,) array.
+    It may be negative; a line that misses a ball or ellipsoid gets the
+    distance to its point nearest the domain."""
+    if dom.kind in ("ball", "ellipsoid"):
+        # |diag(inv_ax) (x + t u)| < 1
+        inv_ax = (np.ones(3) / dom.params[0] if dom.kind == "ball"
+                  else 1.0 / np.asarray(dom.params))
+        xs = x * inv_ax
+        us = u * inv_ax
+        a = np.einsum("ij,ij->i", us, us)
+        b = us @ xs
+        c = float(xs @ xs) - 1.0
+        disc = np.maximum(b * b - a * c, 0.0)
+        return (-b + np.sqrt(disc)) / a
+    h = np.asarray(dom.params)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (-h - x) / u
+        t2 = (h - x) / u
+        t_hi = np.where(np.abs(u) > 1e-300, np.maximum(t1, t2), np.inf)
+    return np.min(t_hi, axis=1)
 
 
 _N_SCAN = 256
@@ -553,58 +516,3 @@ def sample_interior(dom: StarDomain, n: int, rng, margin: float = 0.0) -> np.nda
 def sample_directions(n: int, rng) -> np.ndarray:
     v = rng.normal(size=(n, 3))
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-
-# -- normalization ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DomainNormalization:
-    """Affine change of variables x_hat = (x - center)/radius together with
-    the induced field transform.
-
-    If v_hat solves curl v_hat = g_hat on the image domain with
-    g_hat(x_hat) = radius * g(center + radius * x_hat), then
-    v(x) = v_hat((x - center)/radius) solves curl v = g on the original
-    domain, with the zero boundary values carried over.
-    """
-
-    center: np.ndarray
-    radius: float
-    image: StarDomain
-
-    def forward(self, x):
-        return (np.asarray(x, dtype=float) - self.center) / self.radius
-
-    def inverse(self, x_hat):
-        return self.center + self.radius * np.asarray(x_hat, dtype=float)
-
-    def transform_field(self, g):
-        r, c = self.radius, self.center
-        return lambda x_hat: r * g(c + r * np.asarray(x_hat, dtype=float))
-
-    def pull_back_potential(self, v_hat):
-        c, r = self.center, self.radius
-        return lambda x: v_hat((np.asarray(x, dtype=float) - c) / r)
-
-
-def normalize_domain(center, radius: float, shape_about_center: StarDomain) -> DomainNormalization:
-    """Build the normalization for a domain star-shaped w.r.t. B(center, radius).
-
-    ``shape_about_center`` describes the domain in coordinates centered at
-    ``center`` (the actual domain is its translate by ``center``).  The image
-    domain, scaled by 1/radius, must contain the closed unit ball; this is
-    checked exactly through the shape's inradius.
-    """
-    if radius <= 0.0:
-        raise ValueError("normalization radius must be positive")
-    center = np.asarray(center, dtype=float)
-    if center.shape != (3,):
-        raise ValueError("center must be a 3-vector")
-    if shape_about_center.inradius / radius <= 1.0:
-        raise ValueError(
-            "normalized image does not contain the closed unit ball; "
-            "choose a smaller normalization radius"
-        )
-    image = shape_about_center.scaled(1.0 / radius)
-    return DomainNormalization(center=center, radius=float(radius), image=image)

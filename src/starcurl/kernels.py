@@ -41,8 +41,6 @@ from .smoothing import Mollifier
 
 __all__ = [
     "AlphaInterval",
-    "KernelEvaluation",
-    "evaluate_kernels",
     "alpha_support",
     "kernel_N",
     "kernel_N_tilde",
@@ -80,27 +78,6 @@ class AlphaInterval:
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
-
-
-@dataclass(frozen=True)
-class KernelEvaluation:
-    """All kernel values for one pair: N, N_tilde, the x-gradient of N
-    ((i, m) = dN_i/dx_m), and the grad-psi kernel ((i, m) = axis-m aux)."""
-
-    N: np.ndarray
-    N_tilde: np.ndarray
-    gradN: np.ndarray
-    aux: np.ndarray
-
-
-def evaluate_kernels(x, y, mollifier: Mollifier, n_alpha: int = 16) -> KernelEvaluation:
-    """Bundle every kernel at one (x, y) pair; zero arrays off support."""
-    return KernelEvaluation(
-        N=kernel_N(x, y, mollifier, n_alpha),
-        N_tilde=kernel_N_tilde(x, y, mollifier, n_alpha),
-        gradN=grad_kernel_N(x, y, mollifier, n_alpha),
-        aux=kernel_aux(x, y, mollifier, None, n_alpha),
-    )
 
 
 def _support_batch(x: np.ndarray, y: np.ndarray, r_psi: float):
@@ -164,21 +141,28 @@ def _panel_nodes(lo, hi, empty, clipped, n_alpha):
     return alpha.reshape(shp), w.reshape(shp)
 
 
-def _as_batch(y):
+def _as_batch(x, y):
+    """x and y as float arrays, y as an (n, 3) batch, and whether y was one
+    point.  x must be one point (3,) or one point per row of y."""
+    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return (y[None, :], True) if y.ndim == 1 else (y, False)
+    y, single = (y[None, :], True) if y.ndim == 1 else (y, False)
+    if x.ndim != 1 and x.shape != y.shape:
+        raise ValueError(f"x of shape {x.shape} does not pair with y of shape {y.shape}")
+    return x, y, single
 
 
 def _line_integrals(x, y, mollifier, n_alpha, weights, need_grad):
     """Shared core: evaluates psi (and grad psi when needed) on the graded
     nodes and returns one reduced integral per weight polynomial.
 
+    ``x`` is one point (3,) or one point per row of ``y`` (n, 3).
     ``weights`` is a sequence of callables alpha -> weight array.  Scalar
     integrals come back with shape (n,); gradient integrals (from grad psi)
     with shape (n, 3).
     """
-    d = x[None, :] - y
-    lo, hi, empty, clipped = _support_batch(x[None, :], y, mollifier.support_radius)
+    d = x - y
+    lo, hi, empty, clipped = _support_batch(x, y, mollifier.support_radius)
     alpha, w = _panel_nodes(lo, hi, empty, clipped, n_alpha)
     w = np.where(empty[..., None], 0.0, w)
     pts = y[:, None, :] + alpha[..., None] * d[:, None, :]
@@ -195,9 +179,9 @@ def _line_integrals(x, y, mollifier, n_alpha, weights, need_grad):
 
 
 def kernel_N(x, y, mollifier: Mollifier, n_alpha: int = 16):
-    """Curl-inverse kernel N(x, y); vectorized over rows of y."""
-    x = np.asarray(x, dtype=float)
-    y, single = _as_batch(y)
+    """Curl-inverse kernel N(x, y); vectorized over rows of y, with x either
+    one point or one point per row."""
+    x, y, single = _as_batch(x, y)
     d, (i0,) = _line_integrals(x, y, mollifier, n_alpha,
                                [lambda a: a * (a - 1.0)], ())
     out = d * i0[:, None]
@@ -206,8 +190,7 @@ def kernel_N(x, y, mollifier: Mollifier, n_alpha: int = 16):
 
 def kernel_N_tilde(x, y, mollifier: Mollifier, n_alpha: int = 16):
     """Divergence-inverse kernel Ntilde(x, y); weight alpha^2."""
-    x = np.asarray(x, dtype=float)
-    y, single = _as_batch(y)
+    x, y, single = _as_batch(x, y)
     d, (i0,) = _line_integrals(x, y, mollifier, n_alpha,
                                [lambda a: a * a], ())
     out = d * i0[:, None]
@@ -221,8 +204,7 @@ def grad_kernel_N(x, y, mollifier: Mollifier, n_alpha: int = 16):
 
         dN_im = delta_im int psi a(a-1) + d_i int dpsi_m a^2 (a-1).
     """
-    x = np.asarray(x, dtype=float)
-    y, single = _as_batch(y)
+    x, y, single = _as_batch(x, y)
     d, (i0, jm) = _line_integrals(
         x, y, mollifier, n_alpha,
         [lambda a: a * (a - 1.0)],
@@ -238,8 +220,7 @@ def kernel_aux(x, y, mollifier: Mollifier, m=None, n_alpha: int = 16):
     With ``m`` given returns the vector over i for that axis; with m=None
     returns the full (..., i, m) matrix.
     """
-    x = np.asarray(x, dtype=float)
-    y, single = _as_batch(y)
+    x, y, single = _as_batch(x, y)
     d, (km,) = _line_integrals(x, y, mollifier, n_alpha, [],
                                [lambda a: a * (a - 1.0)])
     out = d[:, :, None] * km[:, None, :]
@@ -259,8 +240,7 @@ def kernel_N_form(x, y, mollifier: Mollifier, form: str = "alpha", n: int = 16):
     Each form solves its own support interval.  The substitutions are affine,
     so all three agree to rounding at equal node counts.
     """
-    x = np.asarray(x, dtype=float)
-    y, single = _as_batch(y)
+    x, y, single = _as_batch(x, y)
     if form == "alpha":
         out = kernel_N(x, y, mollifier, n)
         return out[0] if single else out
@@ -331,10 +311,10 @@ def kernel_bound_check(domain, mollifier: Mollifier, n_pairs: int = 100_000,
         s = np.exp(rng.uniform(np.log(lo), np.log(hi), size=m))
         ys = xs + s[:, None] * us
         if kernel == "N":
-            kv = _kernel_rows(xs, ys, mollifier, n_alpha, grad=False)
+            kv = kernel_N(xs, ys, mollifier, n_alpha)
             scaled = np.max(np.abs(kv), axis=-1) * s * s
         elif kernel == "grad":
-            kv = _kernel_rows(xs, ys, mollifier, n_alpha, grad=True)
+            kv = grad_kernel_N(xs, ys, mollifier, n_alpha)
             scaled = np.max(np.abs(kv), axis=(-2, -1)) * s**3
         else:
             raise ValueError(f"unknown kernel selector {kernel!r}")
@@ -346,23 +326,3 @@ def kernel_bound_check(domain, mollifier: Mollifier, n_pairs: int = 100_000,
     if not np.isfinite(c_emp):
         raise AssertionError("kernel growth scan produced a non-finite constant")
     return {"C_emp": c_emp, "worst_pair": worst, "n_pairs": n_pairs}
-
-
-def _kernel_rows(xs, ys, mollifier, n_alpha, grad):
-    """Row-wise kernel evaluation for pair batches (x varies per row)."""
-    d = xs - ys
-    lo, hi, empty, clipped = _support_batch_pairs(xs, ys, mollifier.support_radius)
-    alpha, w = _panel_nodes(lo, hi, empty, clipped, n_alpha)
-    w = np.where(empty[..., None], 0.0, w)
-    pts = ys[:, None, :] + alpha[..., None] * d[:, None, :]
-    psi_vals = mollifier.psi(pts)
-    i0 = np.einsum("np,np->n", w, psi_vals * alpha * (alpha - 1.0))
-    if not grad:
-        return d * i0[:, None]
-    gpsi = mollifier.grad_psi(pts)
-    jm = np.einsum("np,npi->ni", w * alpha * alpha * (alpha - 1.0), gpsi)
-    return np.eye(3)[None] * i0[:, None, None] + d[:, :, None] * jm[:, None, :]
-
-
-def _support_batch_pairs(x: np.ndarray, y: np.ndarray, r_psi: float):
-    return _support_batch(x, y, r_psi)

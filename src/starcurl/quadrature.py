@@ -29,13 +29,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import StarDomain, ray_segments
+from .geometry import StarDomain, convex_ray_exit, ray_segments
 
 __all__ = [
     "QuadratureConfig",
     "SphereRule",
     "gauss_legendre",
-    "integrate_interval",
     "sphere_rule",
     "sphere_rule_from_count",
     "ball_radius",
@@ -90,14 +89,6 @@ class SphereRule:
 def gauss_legendre(n: int):
     """Cached Gauss-Legendre nodes and weights on [-1, 1].  Treat as read-only."""
     return np.polynomial.legendre.leggauss(n)
-
-
-def integrate_interval(f, a: float, b: float, n: int):
-    """Gauss-Legendre integral of f over [a, b]; f is vectorized over nodes."""
-    t, w = gauss_legendre(n)
-    x = 0.5 * (a + b) + 0.5 * (b - a) * t
-    vals = np.asarray(f(x))
-    return 0.5 * (b - a) * np.tensordot(w, vals, axes=1)
 
 
 @lru_cache(maxsize=32)
@@ -219,7 +210,7 @@ def _ray_nodes_convex(x, domain, cfg, dirs, dw, r_ball, extra_breaks):
     n_ray = u.shape[0]
     rho_exit = _exit_radius(x, u, r_ball)
 
-    t_cross = _single_crossing(x, u, domain)
+    t_cross = convex_ray_exit(domain, x, u)
     # rays from exterior points have no crossing; clamp into [0, rho_exit]
     t_cross = np.clip(t_cross, 0.0, rho_exit)
 
@@ -237,26 +228,6 @@ def _ray_nodes_convex(x, domain, cfg, dirs, dw, r_ball, extra_breaks):
     w = (dw[:, None, None] * w_rad).ravel()
     y = x[None, None, None, :] + rho[..., None] * u[:, None, None, :]
     return y.reshape(-1, 3), w
-
-
-def _single_crossing(x, u, domain):
-    """Boundary crossing distance along each ray for ball/ellipsoid/box."""
-    if domain.kind in ("ball", "ellipsoid"):
-        inv_ax = (np.ones(3) / domain.params[0] if domain.kind == "ball"
-                  else 1.0 / np.asarray(domain.params))
-        xs = x * inv_ax
-        us = u * inv_ax
-        a = np.einsum("ij,ij->i", us, us)
-        b = us @ xs
-        c = float(xs @ xs) - 1.0
-        disc = np.maximum(b * b - a * c, 0.0)
-        return (-b + np.sqrt(disc)) / a
-    h = np.asarray(domain.params)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (-h - x) / u
-        t2 = (h - x) / u
-        t_hi = np.where(np.abs(u) > 1e-300, np.maximum(t1, t2), np.inf)
-    return np.min(t_hi, axis=1)
 
 
 def _ray_nodes_scanned(x, domain, cfg, dirs, dw, r_ball, extra_breaks):

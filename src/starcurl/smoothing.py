@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Mollifier", "eta", "eta_prime"]
+__all__ = ["Mollifier", "eta"]
 
 _N_RADIAL_NORM = 64
 
@@ -87,13 +87,3 @@ def eta(s) -> np.ndarray:
     out = t * t * (3.0 - 2.0 * t)
     return out if out.ndim else float(out)
 
-
-def eta_prime(s) -> np.ndarray:
-    """Derivative of the cutoff; bounded by 1.5, supported on (1, 2)."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
-        raise ValueError("cutoff argument must be nonnegative")
-    inside = (s > 1.0) & (s < 2.0)
-    t = np.where(inside, s - 1.0, 0.0)
-    out = 6.0 * t * (1.0 - t)
-    return out if out.ndim else float(out)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import VectorField
+from .fields import ModulusTable, VectorField
 from .geometry import (boundary_distance, contains, radial_gap,
                        sample_directions)
 from .kernels import LEVI_CIVITA, kernel_N_form
@@ -40,6 +40,8 @@ __all__ = [
     "div_check",
     "boundary_check",
     "eps_study",
+    "eps_report",
+    "dini_report",
     "forms_check",
 ]
 
@@ -276,6 +278,45 @@ def eps_study(op: CurlInverseOp, g, x, eps_list) -> EpsTable:
     monotone = all(b < a for a, b in zip(errs, errs[1:]))
     return EpsTable(tuple(float(c) for c in x), eps_list, tuple(errs),
                     float(np.max(np.abs(base))), monotone)
+
+
+def eps_report(tab: EpsTable) -> CheckReport:
+    """The truncation study as a report: one row per cutoff radius, then the
+    verdict rows.  Passes iff the errors decrease strictly and the last is
+    at most a quarter of the first."""
+    max_ratio = 0.25
+    ratio_ok = tab.final_over_first <= max_ratio
+    miss = max(0.0, tab.final_over_first - max_ratio)
+    rows = [CheckRow("eps_study", tab.point, f"eps={e:g}", err, 0.0, err,
+                     err / max(tab.base_norm, 1e-300), True)
+            for e, err in zip(tab.eps, tab.errors)]
+    rows.append(CheckRow("eps_study", tab.point, "monotone",
+                         float(tab.monotone), 1.0,
+                         0.0 if tab.monotone else 1.0,
+                         0.0 if tab.monotone else 1.0, tab.monotone))
+    rows.append(CheckRow("eps_study", tab.point, "final_over_first",
+                         tab.final_over_first, max_ratio, miss,
+                         miss / max_ratio, ratio_ok))
+    return CheckReport("eps_study", tuple(rows), max_ratio, "abs", 1,
+                       max(r.abs_err for r in rows),
+                       max(r.rel_err for r in rows),
+                       tab.monotone and ratio_ok, rows[-1])
+
+
+def dini_report(g: VectorField, table: ModulusTable) -> CheckReport:
+    """Audit a field's smoothness label against its sampled modulus: one
+    row per separation, then the verdict row.  Passes iff the Dini tail
+    test diverges exactly when the label is "non-dini"."""
+    expected = g.smoothness == "non-dini"
+    passed = table.diverging == expected
+    nowhere = (float("nan"),) * 3
+    rows = [CheckRow("dini", nowhere, f"omega(rho={r:.3e})", w, 0.0, w, w, True)
+            for r, w in zip(table.radii, table.omega)]
+    miss = float(table.diverging != expected)
+    rows.append(CheckRow("dini", nowhere, "diverging", float(table.diverging),
+                         float(expected), miss, miss, passed))
+    return CheckReport("dini", tuple(rows), 0.0, "abs", len(rows), 0.0, 0.0,
+                       passed, rows[-1])
 
 
 _KERNEL_FORMS = ("alpha", "xi", "r")

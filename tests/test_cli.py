@@ -34,6 +34,56 @@ def test_config_round_trip_is_identity(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+# effective.ini of the RunConfig below, byte for byte
+GOLDEN_INI = """\
+[run]
+domain = box:h=1.5,2,2.5
+field = constant:0.5,-2,3
+seed = 11
+threads = 3
+out_dir = runs/a
+
+[quad]
+n_alpha = 12
+n_rho = 20
+sphere_nodes = 590
+n_surface = 266
+r_factor = 1.3
+
+[grid]
+origin = -1.1000000000000001,0,0.0025000000000000001
+spacing = 0.10000000000000001,0.20000000000000001,0.33333333333333331
+counts = 4,5,6
+
+[check]
+h = 2e-3
+tol = 1e-4
+n_points = 12
+margin = 0.17000000000000001
+eps_list = 0.29999999999999999,0.14999999999999999,0.050000000000000003
+point = 0.10000000000000001,-0.20000000000000001,0.29999999999999999
+scalar = divfield
+
+"""
+
+
+def test_effective_ini_bytes_are_pinned(tmp_path):
+    cfg = RunConfig(domain="box:h=1.5,2,2.5", field="constant:0.5,-2,3",
+                    seed=11, threads=3, out_dir="runs/a",
+                    quad=QuadratureConfig(n_alpha=12, n_rho=20,
+                                          sphere_nodes=590, n_surface=266,
+                                          r_factor=1.3),
+                    grid_origin=(-1.1, 0.0, 2.5e-3),
+                    grid_spacing=(0.1, 0.2, 1.0 / 3.0), grid_counts=(4, 5, 6),
+                    h="2e-3", tol="1e-4", n_points="12", margin=0.17,
+                    eps_list=(0.3, 0.15, 0.05), point=(0.1, -0.2, 0.3),
+                    scalar="divfield")
+    path = tmp_path / "effective.ini"
+    dump_config(cfg, str(path))
+    assert path.read_bytes() == GOLDEN_INI.encode("ascii")
+    assert load_config(str(path)) == cfg
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     p = tmp_path / "bad.ini"
     p.write_text("[check]\ntolx = 1e-3\n")
@@ -53,6 +103,24 @@ def test_bad_specs_exit_2(tmp_path):
     assert run(tmp_path, "curl-check", "--field", "vortex") == 2
     assert run(tmp_path, "curl-check", "--domain", "torus:r=2") == 2
     assert run(tmp_path, "curl-check", "--tol", "tight") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("curl-check", "--n-points", "0"),
+    ("grad-check", "--n-points", "0"),
+    ("equiv-check", "--n-points", "0"),
+    ("boundary-check", "--n-points", "0"),
+    ("div-solve", "--n-points", "-3"),
+    ("solve", "--threads", "-4"),
+    ("solve", "--threads", "0"),
+    ("solve", "--grid.counts", "0,3,3"),
+    ("solve", "--grid.counts", "3,3"),
+    ("solve", "--grid.counts", "3,3,3,3"),
+], ids=" ".join)
+def test_bad_counts_exit_2(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 2
+    assert "bad configuration" in capsys.readouterr().err
+    assert not (tmp_path / "effective.ini").exists()
 
 
 def test_unwritable_out_dir_exits_3(tmp_path):

@@ -6,7 +6,6 @@ from starcurl.fields import (
     VectorField,
     dini_integral,
     dini_integral_from,
-    field_spec_string,
     modulus_of_continuity,
     parse_field,
     registry_get,
@@ -118,17 +117,6 @@ def test_bumpcurl_compactly_supported(rng):
         assert np.max(np.abs(f.eval(far))) == 0.0
     shell = 1.95 * np.eye(3)
     assert np.all(f.eval(shell) == 0.0)
-
-
-@pytest.mark.parametrize(
-    "spec",
-    ["rigid", "abc", "constant:1,0,0", "constant:0.5,-2,3"],
-)
-def test_field_spec_round_trip(spec):
-    f = parse_field(spec)
-    again = parse_field(field_spec_string(f))
-    x = np.array([[0.3, -0.4, 0.5]])
-    assert np.allclose(f.eval(x), again.eval(x))
 
 
 def test_field_spec_rejects_unknown():

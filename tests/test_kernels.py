@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from starcurl.geometry import ball, sample_directions, sample_interior
 from starcurl.kernels import (
     alpha_support,
-    evaluate_kernels,
     grad_kernel_N,
     kernel_aux,
     kernel_bound_check,
@@ -247,15 +246,22 @@ def test_aux_volume_integral_pinned():
     assert np.all(np.isfinite(vals[1]))
 
 
-def test_kernel_evaluation_bundle():
-    ev = evaluate_kernels(X_HALF, Y_ORIGIN, MOL)
-    assert ev.N[0] == pytest.approx(N_ORIGIN_PAIR, rel=1e-12)
-    assert ev.gradN.shape == (3, 3)
-    assert ev.aux.shape == (3, 3)
-    assert np.all(np.isfinite(ev.gradN))
-    empty = evaluate_kernels(np.array([0.0, 0.0, 1.5]), np.array([0.0, 0.0, 1.2]), MOL)
-    for arr in (empty.N, empty.N_tilde, empty.gradN, empty.aux):
-        assert np.all(arr == 0.0)
+def test_batched_x_matches_single_pairs(rng):
+    # kernel_bound_check evaluates one x per row of y; each row must equal
+    # the single-pair call bit for bit
+    xs = 0.5 * sample_interior(ball(2.0), 60, rng)
+    ys = xs + rng.uniform(0.05, 1.5, (60, 1)) * sample_directions(60, rng)
+    for kernel in (kernel_N, grad_kernel_N):
+        batch = kernel(xs, ys, MOL)
+        single = np.stack([kernel(x, y, MOL) for x, y in zip(xs, ys)])
+        assert batch.shape == single.shape
+        assert np.array_equal(batch, single)
+        assert np.count_nonzero(np.any(single != 0.0, axis=-1)) >= 30
+        # a batch of x needs a batch of y of the same shape
+        with pytest.raises(ValueError):
+            kernel(xs, ys[0], MOL)
+        with pytest.raises(ValueError):
+            kernel(xs[:3], ys[:2], MOL)
 
 
 def test_bound_check_stable_under_doubling():

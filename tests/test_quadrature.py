@@ -10,7 +10,6 @@ from starcurl.quadrature import (
     cap_nodes,
     gauss_legendre,
     integrate_ball_singular,
-    integrate_interval,
     integrate_sphere_cap,
     integrate_sphere_surface,
     sphere_rule,
@@ -46,12 +45,6 @@ def test_config_rejections(kwargs):
 
 def test_gauss_legendre_cached():
     assert gauss_legendre(16) is gauss_legendre(16)
-
-
-def test_interval_anchors():
-    assert integrate_interval(lambda x: x * x, 0.0, 1.0, 2) == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert integrate_interval(np.sin, 0.0, np.pi, 16) == pytest.approx(2.0, abs=1e-12)
-    assert integrate_interval(np.exp, 0.0, 1.0, 16) == pytest.approx(np.e - 1.0, abs=1e-14)
 
 
 def test_sphere_rule_moments():
