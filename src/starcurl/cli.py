@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from dataclasses import dataclass, field as dc_field, fields, replace
@@ -198,9 +199,14 @@ def _merge_flags(cfg: RunConfig, ns: argparse.Namespace) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    """Reject spec strings and numeric knobs that no command could use."""
+    """Reject spec strings, choices and numeric knobs that no command could
+    use, whether they came from the config file or from a flag."""
     parse_domain(cfg.domain)
     parse_field(cfg.field)
+    for opt in _OPTIONS:
+        if opt.choices and getattr(cfg, opt.attr) not in opt.choices:
+            raise ValueError(f"{opt.key} must be one of {', '.join(opt.choices)}, "
+                             f"got {getattr(cfg, opt.attr)!r}")
     for knob in (cfg.h, cfg.tol):
         if knob != "auto":
             float(knob)
@@ -211,6 +217,14 @@ def _validate(cfg: RunConfig) -> None:
     if len(cfg.grid_counts) != 3 or min(cfg.grid_counts) < 1:
         raise ValueError("grid counts must be three positive integers, got "
                          + _fmt_ints(cfg.grid_counts))
+    for name, v in (("grid origin", cfg.grid_origin),
+                    ("grid spacing", cfg.grid_spacing), ("point", cfg.point)):
+        if len(v) != 3 or not all(math.isfinite(c) for c in v):
+            raise ValueError(f"{name} must be three finite numbers, got "
+                             + _fmt_tuple(v))
+    if min(cfg.grid_spacing) <= 0.0:
+        raise ValueError("grid spacing must be positive, got "
+                         + _fmt_tuple(cfg.grid_spacing))
 
 
 # -- commands -------------------------------------------------------------------

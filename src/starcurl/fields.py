@@ -334,6 +334,6 @@ def dini_integral_from(radii, omega, rho_min_sequence=_DEFAULT_RHO_MIN):
             "values": values, "increments": inc.tolist()}
 
 
-def dini_integral(table: ModulusTable, rho_min_sequence=_DEFAULT_RHO_MIN):
+def dini_integral(table: ModulusTable):
     """Tail-divergence test on an existing modulus table."""
-    return dini_integral_from(table.radii, table.omega, rho_min_sequence)
+    return dini_integral_from(table.radii, table.omega, _DEFAULT_RHO_MIN)

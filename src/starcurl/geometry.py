@@ -26,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "StarDomain",
-    "RaySegments",
     "ball",
     "ellipsoid",
     "box",
@@ -37,7 +36,6 @@ __all__ = [
     "boundary_distance",
     "radial_gap",
     "ray_segments",
-    "convex_ray_exit",
     "validate_star_shape",
     "sample_interior",
     "sample_directions",
@@ -101,18 +99,6 @@ class StarDomain:
     @property
     def diameter(self) -> float:
         return 2.0 * self.circumradius
-
-
-@dataclass(frozen=True)
-class RaySegments:
-    """Maximal sub-intervals of {origin + t*direction : 0 <= t <= t_max}
-    lying inside the domain.  ``segments`` is a tuple of (lo, hi) pairs,
-    disjoint and increasing."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-    t_max: float
-    segments: tuple
 
 
 # -- constructors ----------------------------------------------------------
@@ -356,32 +342,38 @@ def _radial_boundary(dom: StarDomain, u: np.ndarray) -> np.ndarray:
 # -- ray segmentation ------------------------------------------------------
 
 
-def ray_segments(dom: StarDomain, origin, direction, t_max: float) -> RaySegments:
-    """Intersect the ray origin + t*direction, t in [0, t_max], with the domain.
+def ray_segments(dom: StarDomain, x, u, t_max) -> np.ndarray:
+    """Where the rays x + t u (one per row of the unit directions ``u``, t in
+    (0, t_max) with one t_max per ray) cross the boundary.
 
-    Closed-form for ball/ellipsoid/box; bracketing plus bisection (to 1e-10
-    in t) for radial tables.
+    Returns an (n, k) array, k >= 1: row i holds the crossings of ray i in
+    increasing order, padded with t_max[i].  From an interior point of a
+    ball, ellipsoid or box every ray crosses once, so k = 1 and the row is
+    the exit.  Closed-form for ball/ellipsoid/box; a membership scan plus
+    bisection (to 1e-10 in t) for radial tables, whose rays may leave the
+    domain and come back.
     """
-    origin = np.asarray(origin, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    if abs(np.linalg.norm(direction) - 1.0) > 1e-12:
-        raise ValueError("ray direction must be a unit vector")
-    if t_max <= 0.0:
-        return RaySegments(origin, direction, t_max, ())
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    t_max = np.asarray(t_max, dtype=float)
+    if np.any(np.abs(np.linalg.norm(u, axis=1) - 1.0) > 1e-12):
+        raise ValueError("ray directions must be unit vectors")
     if dom.kind == "radial":
-        segs = _scan_segments(dom, origin, direction, t_max)
-    else:
-        # the line enters where the reversed line exits; a line parallel to a
-        # box slab that it lies outside of fails the midpoint test
-        u = direction[None, :]
-        lo = max(-float(convex_ray_exit(dom, origin, -u)[0]), 0.0)
-        hi = min(float(convex_ray_exit(dom, origin, u)[0]), t_max)
-        inside = hi > lo and contains(dom, origin + 0.5 * (lo + hi) * direction)
-        segs = ((lo, hi),) if inside else ()
-    return RaySegments(origin, direction, t_max, segs)
+        return _scan_crossings(dom, x, u, t_max)
+    hi = _convex_exit(dom, x, u)
+    if contains(dom, x):
+        return np.minimum(hi, t_max)[:, None]
+    # the line enters where the reversed line exits; a line parallel to a
+    # box slab that it lies outside of fails the midpoint test
+    lo = -_convex_exit(dom, x, -u)
+    a, b = np.maximum(lo, 0.0), np.minimum(hi, t_max)
+    hit = (b > a) & contains(dom, x + 0.5 * (a + b)[:, None] * u)
+    cross = np.stack([lo, hi], axis=1)
+    keep = hit[:, None] & (cross > 0.0) & (cross < t_max[:, None])
+    return np.sort(np.where(keep, cross, t_max[:, None]), axis=1)
 
 
-def convex_ray_exit(dom: StarDomain, x, u):
+def _convex_exit(dom: StarDomain, x, u):
     """Distance along each line x + t u (one per row of the unit directions
     ``u``) to where it leaves a ball, ellipsoid or box, as an (n,) array.
     It may be negative; a line that misses a ball or ellipsoid gets the
@@ -406,64 +398,61 @@ def convex_ray_exit(dom: StarDomain, x, u):
 
 
 _N_SCAN = 256
+_SCAN_TOL = 1e-10
 
 
-def _scan_segments(dom, x, u, t_max, tol=1e-10):
-    """Membership scan along the ray followed by bisection of each bracket."""
-    t = np.linspace(0.0, t_max, _N_SCAN + 1)
-    inside = contains(dom, x[None, :] + t[:, None] * u[None, :])
-    segs = []
-    open_lo = 0.0 if inside[0] else None
-    for k in range(_N_SCAN):
-        if inside[k] == inside[k + 1]:
-            continue
-        cross = _bisect_crossing(dom, x, u, t[k], t[k + 1], inside[k], tol)
-        if inside[k]:
-            segs.append((open_lo, cross))
-            open_lo = None
-        else:
-            open_lo = cross
-    if open_lo is not None:
-        segs.append((open_lo, t_max))
-    return tuple(s for s in segs if s[1] - s[0] > tol)
-
-
-def _bisect_crossing(dom, x, u, lo, hi, lo_inside, tol):
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if contains(dom, x + mid * u) == lo_inside:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _scan_crossings(dom, x, u, t_max):
+    """Membership scan of every ray at _N_SCAN + 1 equispaced points, then
+    bisection of all brackets together; each bracket halves until it is
+    _SCAN_TOL wide and its midpoint is the crossing."""
+    t = np.linspace(0.0, t_max, _N_SCAN + 1, axis=1)           # (n, N+1)
+    inside = contains(dom, x + t[..., None] * u[:, None, :])
+    ray, k = np.nonzero(inside[:, :-1] != inside[:, 1:])
+    lo, hi = t[ray, k], t[ray, k + 1]
+    lo_inside = inside[ray, k]
+    i = np.flatnonzero(hi - lo > _SCAN_TOL)
+    while i.size:
+        mid = 0.5 * (lo[i] + hi[i])
+        stay = contains(dom, x + mid[:, None] * u[ray[i]]) == lo_inside[i]
+        lo[i[stay]], hi[i[~stay]] = mid[stay], mid[~stay]
+        i = i[hi[i] - lo[i] > _SCAN_TOL]
+    # column k holds the crossing in scan cell k; sorting moves the padding
+    # behind the crossings
+    out = np.repeat(t_max[:, None], _N_SCAN, axis=1)
+    out[ray, k] = 0.5 * (lo + hi)
+    return np.sort(out, axis=1)[:, :max(np.bincount(ray).max(initial=0), 1)]
 
 
 # -- star-shape validation -------------------------------------------------
 
 
-def validate_star_shape(dom: StarDomain, n_samples: int = 10_000, seed: int = 0,
-                        n_checks: int = 16, max_witnesses: int = 100):
+_N_CHECKS = 16          # points tested on each sampled segment [b, z]
+_MAX_WITNESSES = 100
+
+
+def validate_star_shape(dom: StarDomain, n_samples: int = 10_000, seed: int = 0):
     """Sampled check of star-shapedness w.r.t. the closed unit ball.
 
     Draws pairs (b, z) with b uniform in the closed unit ball and z uniform
-    in the domain, then tests ``n_checks`` equispaced points of the segment
+    in the domain, then tests _N_CHECKS equispaced points of the segment
     [b, z] for membership (endpoints included; both lie inside by
     construction).  Returns (violation_count, witnesses) where witnesses is
-    a list of (b, z, t) triples for failing parameters t.
+    a list of at most _MAX_WITNESSES (b, z, t) triples for failing
+    parameters t.
     """
     rng = np.random.default_rng(seed)
     b = _uniform_ball(rng, n_samples, 1.0)
     z = sample_interior(dom, n_samples, rng)
-    t = np.linspace(0.0, 1.0, n_checks)
+    t = np.linspace(0.0, 1.0, _N_CHECKS)
     pts = b[:, None, :] + t[None, :, None] * (z - b)[:, None, :]
-    ok = contains(dom, pts.reshape(-1, 3)).reshape(n_samples, n_checks)
+    ok = contains(dom, pts.reshape(-1, 3)).reshape(n_samples, _N_CHECKS)
     # endpoint b may sit exactly on |b| = 1 which is interior to the domain
     # (min boundary radius > 1), so strict membership holds there too.
     bad = ~ok
     violations = int(np.count_nonzero(np.any(bad, axis=1)))
     witnesses = []
     if violations:
-        idx = np.nonzero(np.any(bad, axis=1))[0][:max_witnesses]
+        idx = np.nonzero(np.any(bad, axis=1))[0][:_MAX_WITNESSES]
         for i in idx:
             kfail = int(np.nonzero(bad[i])[0][0])
             witnesses.append((b[i].copy(), z[i].copy(), float(t[kfail])))
@@ -486,7 +475,7 @@ def sample_interior(dom: StarDomain, n: int, rng, margin: float = 0.0) -> np.nda
     """Uniform interior points by rejection from the circumball.
 
     ``margin`` keeps a radial gap to the boundary: points x with
-    boundary_distance(x/|x|) - |x| <= margin are rejected.
+    radial_gap(x) <= margin are rejected.
     """
     rad = dom.circumradius
     pts = np.empty((n, 3))
@@ -498,15 +487,8 @@ def sample_interior(dom: StarDomain, n: int, rng, margin: float = 0.0) -> np.nda
             raise RuntimeError("interior sampling failed to converge")
         cand = _uniform_ball(rng, 2 * (n - got) + 16, rad)
         keep = cand[contains(dom, cand)]
-        if margin > 0.0 and keep.size:
-            r = np.linalg.norm(keep, axis=-1)
-            safe = r < 1e-300
-            gap = np.empty_like(r)
-            gap[safe] = np.inf
-            if np.any(~safe):
-                u = keep[~safe] / r[~safe][:, None]
-                gap[~safe] = boundary_distance(dom, u) - r[~safe]
-            keep = keep[gap > margin]
+        if margin > 0.0:
+            keep = keep[radial_gap(dom, keep) > margin]
         take = min(n - got, keep.shape[0])
         pts[got:got + take] = keep[:take]
         got += take

@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 _MIN_SEP = 1e-14
+_BOUND_CHUNK = 20_000   # pairs per batch of kernel_bound_check's scan
 
 # graded panel edge fractions, measured against dense references; see module
 # docstring.  A support-root endpoint gets slivers (0.05, 0.25); an endpoint
@@ -214,18 +215,13 @@ def grad_kernel_N(x, y, mollifier: Mollifier, n_alpha: int = 16):
     return out[0] if single else out
 
 
-def kernel_aux(x, y, mollifier: Mollifier, m=None, n_alpha: int = 16):
-    """Auxiliary kernel d_i * int dpsi_m(y + alpha d) alpha (alpha - 1).
-
-    With ``m`` given returns the vector over i for that axis; with m=None
-    returns the full (..., i, m) matrix.
-    """
+def kernel_aux(x, y, mollifier: Mollifier, n_alpha: int = 16):
+    """Auxiliary kernel d_i * int dpsi_m(y + alpha d) alpha (alpha - 1), as
+    the full (..., i, m) matrix."""
     x, y, single = _as_batch(x, y)
     d, (km,) = _line_integrals(x, y, mollifier, n_alpha, [],
                                [lambda a: a * (a - 1.0)])
     out = d[:, :, None] * km[:, None, :]
-    if m is not None:
-        out = out[..., m]
     return out[0] if single else out
 
 
@@ -285,7 +281,7 @@ def kernel_N_form(x, y, mollifier: Mollifier, form: str = "alpha", n: int = 16):
 
 def kernel_bound_check(domain, mollifier: Mollifier, n_pairs: int = 100_000,
                        seed: int = 0, kernel: str = "N", n_alpha: int = 16,
-                       sep_range=(1e-4, None), chunk: int = 20_000):
+                       sep_range=(1e-4, None)):
     """Empirical growth-law scan.
 
     Samples pairs with x uniform in the domain and |x - y| log-uniform in
@@ -305,7 +301,7 @@ def kernel_bound_check(domain, mollifier: Mollifier, n_pairs: int = 100_000,
     worst = None
     done = 0
     while done < n_pairs:
-        m = min(chunk, n_pairs - done)
+        m = min(_BOUND_CHUNK, n_pairs - done)
         xs = sample_interior(domain, m, rng)
         us = sample_directions(m, rng)
         s = np.exp(rng.uniform(np.log(lo), np.log(hi), size=m))

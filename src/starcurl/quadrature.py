@@ -10,7 +10,9 @@ Jacobian cancels the kernel's quadratic blow-up, so the radial integrand
 stays bounded along every ray.  Each ray's radial integral is split at the
 domain boundary crossings (zero-extended fields jump there) plus any
 caller-supplied break radii, with a fixed-order Gauss-Legendre panel per
-sub-segment.
+sub-segment.  One ``geometry.ray_segments`` call gives the crossings of
+all rays for every domain kind, several per ray where a ray leaves a radial
+table and re-enters it, so the nodes form (ray, panel, node) arrays.
 
 When the integrand is generated by a mollifier supported in B(0, r_s) and
 the evaluation point has |x| > r_s, the line-integral kernels vanish except
@@ -29,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import StarDomain, convex_ray_exit, ray_segments
+from .geometry import StarDomain, ray_segments
 
 __all__ = [
     "QuadratureConfig",
@@ -163,21 +165,16 @@ def cap_nodes(axis, mu_min: float, n_polar: int, n_azimuth: int):
     return dirs.reshape(-1, 3), w.ravel()
 
 
-def _exit_radius(x: np.ndarray, u: np.ndarray, r: float):
-    """Distance from x (inside the ball of radius r) to the sphere along u."""
-    xu = u @ x if u.ndim == 2 else float(np.dot(u, x))
-    return -xu + np.sqrt(xu * xu + r * r - float(x @ x))
-
-
 def integrate_ball_singular(f, x, domain: StarDomain, cfg: QuadratureConfig,
                             extra_breaks=(), support_radius=None):
     """Integrate f over B_R (R = r_factor * circumradius) in polar coordinates
     centered at x.
 
     ``f`` maps an (n, 3) array of points to an (n, ...) array of values; the
-    trailing shape of the result matches f's trailing shape.  ``extra_breaks``
-    are radii (distances from x) where the radial integrand has reduced
-    smoothness, e.g. the seams of the regularizing cutoff.
+    trailing shape of the result matches f's trailing shape.  Each ray is
+    split at every domain boundary crossing and at ``extra_breaks``: radii
+    (distances from x) where the radial integrand has reduced smoothness,
+    e.g. the seams of the regularizing cutoff.
 
     ``support_radius`` declares that f vanishes on every ray whose backward
     extension misses the ball B(0, support_radius) (true for all the
@@ -195,30 +192,23 @@ def integrate_ball_singular(f, x, domain: StarDomain, cfg: QuadratureConfig,
     if support_radius is not None and rx > support_radius:
         mu_min = math.sqrt(1.0 - (support_radius / rx) ** 2)
         dirs, dw = cap_nodes(x / rx, mu_min, rule.n_polar, rule.n_azimuth)
-    if domain.kind == "radial":
-        y, w = _ray_nodes_scanned(x, domain, cfg, dirs, dw, r_ball, extra_breaks)
-    else:
-        y, w = _ray_nodes_convex(x, domain, cfg, dirs, dw, r_ball, extra_breaks)
+    y, w = _ray_nodes(x, domain, cfg, dirs, dw, r_ball, extra_breaks)
     vals = np.asarray(f(y))
     return np.tensordot(w, vals, axes=1)
 
 
-def _ray_nodes_convex(x, domain, cfg, dirs, dw, r_ball, extra_breaks):
-    """Vectorized node construction for convex domains: each ray from an
-    interior point crosses the boundary exactly once."""
-    u = dirs
-    n_ray = u.shape[0]
-    rho_exit = _exit_radius(x, u, r_ball)
+def _ray_nodes(x, domain, cfg, u, dw, r_ball, extra_breaks):
+    """Nodes and weights of the polar rule along the unit directions ``u``,
+    built as (ray, panel, node) arrays and flattened.  Padded crossings and
+    breaks beyond a ray's exit from B_R give zero-width panels of weight 0."""
+    xu = u @ x
+    rho_exit = -xu + np.sqrt(xu * xu + r_ball * r_ball - float(x @ x))
 
-    t_cross = convex_ray_exit(domain, x, u)
-    # rays from exterior points have no crossing; clamp into [0, rho_exit]
-    t_cross = np.clip(t_cross, 0.0, rho_exit)
-
-    cols = [np.zeros(n_ray), t_cross]
+    cols = [np.zeros((u.shape[0], 1)), ray_segments(domain, x, u, rho_exit)]
     for b in extra_breaks:
-        cols.append(np.clip(float(b), 0.0, rho_exit))
-    cols.append(rho_exit)
-    edges = np.sort(np.stack(cols, axis=1), axis=1)   # (n_ray, k+1)
+        cols.append(np.clip(float(b), 0.0, rho_exit)[:, None])
+    cols.append(rho_exit[:, None])
+    edges = np.sort(np.concatenate(cols, axis=1), axis=1)   # (n_ray, k+1)
 
     t, wg = gauss_legendre(cfg.n_rho)
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])       # (n_ray, k)
@@ -228,31 +218,6 @@ def _ray_nodes_convex(x, domain, cfg, dirs, dw, r_ball, extra_breaks):
     w = (dw[:, None, None] * w_rad).ravel()
     y = x[None, None, None, :] + rho[..., None] * u[:, None, None, :]
     return y.reshape(-1, 3), w
-
-
-def _ray_nodes_scanned(x, domain, cfg, dirs, dw, r_ball, extra_breaks):
-    """Generic per-ray segmentation (radial tables may be re-entered)."""
-    t, wg = gauss_legendre(cfg.n_rho)
-    ys = []
-    ws = []
-    for q in range(dirs.shape[0]):
-        u = dirs[q]
-        rho_exit = float(_exit_radius(x, u, r_ball))
-        segs = ray_segments(domain, x, u, rho_exit)
-        breaks = {0.0, rho_exit}
-        for lo, hi in segs.segments:
-            breaks.add(lo)
-            breaks.add(hi)
-        for b in extra_breaks:
-            if 0.0 < b < rho_exit:
-                breaks.add(float(b))
-        edges = sorted(breaks)
-        for a, b in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (b - a)
-            rho = 0.5 * (a + b) + half * t
-            ys.append(x[None, :] + rho[:, None] * u[None, :])
-            ws.append(dw[q] * half * wg * rho * rho)
-    return np.concatenate(ys, axis=0), np.concatenate(ws)
 
 
 def integrate_sphere_surface(f, radius: float, rule: SphereRule):

@@ -116,11 +116,29 @@ def test_bad_specs_exit_2(tmp_path):
     ("solve", "--grid.counts", "0,3,3"),
     ("solve", "--grid.counts", "3,3"),
     ("solve", "--grid.counts", "3,3,3,3"),
+    ("solve", "--grid.origin", "1,2"),
+    ("solve", "--grid.origin", "0,inf,0"),
+    ("solve", "--grid.spacing", "0,0,0"),
+    ("solve", "--grid.spacing", "0.5,-0.5,0.5"),
+    ("solve", "--grid.spacing", "nan,1,1"),
+    ("eps-study", "--point", "0.3,0"),
+    ("eps-study", "--point", "0.3,0,nan"),
 ], ids=" ".join)
 def test_bad_counts_exit_2(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 2
     assert "bad configuration" in capsys.readouterr().err
     assert not (tmp_path / "effective.ini").exists()
+
+
+def test_bad_config_file_choice_exits_2(tmp_path, capsys):
+    # the file path must check the same choices as the --scalar flag
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[check]\nscalar = bogus\n")
+    out = tmp_path / "out"
+    assert main(["div-solve", "--config", str(ini), "--field", "nonsol",
+                 "--n-points", "1", "--out-dir", str(out)]) == 2
+    assert "scalar must be one of" in capsys.readouterr().err
+    assert not (out / "effective.ini").exists()
 
 
 def test_unwritable_out_dir_exits_3(tmp_path):

@@ -59,64 +59,85 @@ def test_unit_ball_containment_enforced(ctor):
 
 
 def test_ray_segments_anchors():
-    seg = ray_segments(ball(2.0), np.zeros(3), np.array([1.0, 0.0, 0.0]), 5.0)
-    assert len(seg.segments) == 1
-    lo, hi = seg.segments[0]
-    assert lo == pytest.approx(0.0, abs=1e-12)
-    assert hi == pytest.approx(2.0, abs=1e-12)
+    along_x = np.array([[1.0, 0.0, 0.0]])
+    cross = ray_segments(ball(2.0), np.zeros(3), along_x, np.array([5.0]))
+    assert cross.shape == (1, 1)
+    assert cross[0, 0] == pytest.approx(2.0, abs=1e-12)
 
-    seg = ray_segments(ball(2.0), np.array([3.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]), 10.0)
-    (interval,) = seg.segments
-    assert interval[0] == pytest.approx(1.0, abs=1e-12)
-    assert interval[1] == pytest.approx(5.0, abs=1e-12)
+    cross = ray_segments(ball(2.0), np.array([3.0, 0.0, 0.0]), -along_x,
+                         np.array([10.0]))
+    assert cross[0] == pytest.approx([1.0, 5.0], abs=1e-12)
 
-    seg = ray_segments(ellipsoid(2.0, 3.0, 4.0), np.zeros(3), np.array([0.0, 0.0, 1.0]), 10.0)
-    (interval,) = seg.segments
-    assert interval[1] == pytest.approx(4.0, abs=1e-12)
+    cross = ray_segments(ellipsoid(2.0, 3.0, 4.0), np.zeros(3),
+                         np.array([[0.0, 0.0, 1.0]]), np.array([10.0]))
+    assert cross.shape == (1, 1)
+    assert cross[0, 0] == pytest.approx(4.0, abs=1e-12)
 
     # rays parallel to two slabs of the box: inside both, or outside one
-    along_x = np.array([1.0, 0.0, 0.0])
-    seg = ray_segments(box(1.5, 1.5, 1.5), np.zeros(3), along_x, 5.0)
-    (interval,) = seg.segments
-    assert interval[0] == pytest.approx(0.0, abs=1e-12)
-    assert interval[1] == pytest.approx(1.5, abs=1e-12)
-    seg = ray_segments(box(1.5, 1.5, 1.5), np.array([0.0, 2.0, 0.0]), along_x, 5.0)
-    assert seg.segments == ()
+    # (no crossing: the row is all padding, t_max)
+    cross = ray_segments(box(1.5, 1.5, 1.5), np.zeros(3), along_x, np.array([5.0]))
+    assert cross.shape == (1, 1)
+    assert cross[0, 0] == pytest.approx(1.5, abs=1e-12)
+    cross = ray_segments(box(1.5, 1.5, 1.5), np.array([0.0, 2.0, 0.0]), along_x,
+                         np.array([5.0]))
+    assert np.all(cross == 5.0)
 
 
 def test_ray_segments_rejects_non_unit_direction():
+    u = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
     with pytest.raises(ValueError):
-        ray_segments(ball(2.0), np.zeros(3), np.array([1.0, 1.0, 0.0]), 5.0)
+        ray_segments(ball(2.0), np.zeros(3), u, np.array([5.0, 5.0]))
+
+
+def _check_alternation(dom, x, u, t_max, cross):
+    """Rows increase inside (0, t_max] and are padded with t_max; between
+    consecutive crossings the midpoints alternate inside and outside,
+    starting from contains(x).  Returns the crossing count of each ray."""
+    assert cross.shape[0] == u.shape[0] and cross.shape[1] >= 1
+    counts = []
+    for i in range(u.shape[0]):
+        row = cross[i]
+        assert np.all(row > 0.0) and np.all(row <= t_max[i])
+        assert np.all(np.diff(row) >= 0.0)
+        assert np.all(row[row >= t_max[i]] == t_max[i])
+        edges = np.concatenate([[0.0], row[row < t_max[i]], [t_max[i]]])
+        inside = bool(contains(dom, x))
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            if hi - lo > 1e-9:
+                assert contains(dom, x + 0.5 * (lo + hi) * u[i]) == inside
+            inside = not inside
+        counts.append(edges.size - 2)
+    return np.array(counts)
 
 
 @pytest.mark.parametrize("dom", _shapes)
 def test_ray_segment_membership(dom, rng):
-    # segment midpoints inside, gap midpoints outside
-    for _ in range(1000):
+    for _ in range(100):
         x = rng.uniform(-4.0, 4.0, size=3)
-        u = sample_directions(1, rng)[0]
-        t_max = rng.uniform(0.5, 8.0)
-        seg = ray_segments(dom, x, u, t_max)
-        prev = 0.0
-        for lo, hi in seg.segments:
-            if lo - prev > 1e-9:
-                gap_mid = x + 0.5 * (prev + lo) * u
-                assert not contains(dom, gap_mid)
-            if hi - lo > 1e-9:
-                mid = x + 0.5 * (lo + hi) * u
-                assert contains(dom, mid)
-            prev = hi
+        u = sample_directions(10, rng)
+        t_max = rng.uniform(0.5, 8.0, size=10)
+        counts = _check_alternation(dom, x, u, t_max, ray_segments(dom, x, u, t_max))
+        assert np.all(counts <= 2)
+        if contains(dom, x):
+            assert np.all(counts <= 1)
 
 
 def test_ray_segment_membership_radial(rng):
-    dom = radial_from_function(lambda u: 1.5 + 0.3 * u[..., 2] ** 2)
-    for _ in range(200):
+    # waisted at the equator: rays from the upper lobe can leave the
+    # domain and come back in
+    dom = radial_from_function(lambda u: 1.1 + 2.5 * u[..., 2] ** 4, 48, 96)
+    most = 0
+    for _ in range(40):
         x = rng.uniform(-3.0, 3.0, size=3)
-        u = sample_directions(1, rng)[0]
-        seg = ray_segments(dom, x, u, 6.0)
-        for lo, hi in seg.segments:
-            if hi - lo > 1e-6:
-                assert contains(dom, x + 0.5 * (lo + hi) * u)
+        u = sample_directions(10, rng)
+        t_max = np.full(10, 6.0)
+        counts = _check_alternation(dom, x, u, t_max, ray_segments(dom, x, u, t_max))
+        most = max(most, counts.max())
+    x = np.array([1.2, 0.0, 1.7])
+    u = sample_directions(200, rng)
+    t_max = np.full(200, 6.0)
+    counts = _check_alternation(dom, x, u, t_max, ray_segments(dom, x, u, t_max))
+    assert max(most, counts.max()) >= 3
 
 
 @pytest.mark.parametrize("dom", _shapes)

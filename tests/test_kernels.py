@@ -235,7 +235,7 @@ def test_aux_volume_integral_pinned():
         q = QuadratureConfig(n_rho=nr)
         vals.append(
             integrate_ball_singular(
-                lambda y: kernel_aux(x0, y, MOL, None), x0, dom, q,
+                lambda y: kernel_aux(x0, y, MOL), x0, dom, q,
                 support_radius=MOL.support_radius,
             )
         )

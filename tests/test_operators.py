@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from starcurl.fields import VectorField, registry_get
-from starcurl.geometry import ball
+from starcurl.geometry import (ball, boundary_distance, ellipsoid,
+                               radial_from_function, ray_segments)
 from starcurl.operators import (
     CurlInverseOp,
     bogovskii,
@@ -18,11 +19,13 @@ from starcurl.operators import (
     curl_inverse,
     curl_inverse_eps,
     curl_of_curl_inverse,
+    domain_integral,
     eval_grid,
     grad_curl_inverse,
     residual_identity,
 )
-from starcurl.quadrature import QuadratureConfig
+from starcurl.quadrature import (QuadratureConfig, ball_radius, sphere_rule,
+                                 sphere_rule_from_count)
 from starcurl.smoothing import Mollifier
 from starcurl.verify import fd_div, fd_jacobian
 
@@ -248,3 +251,36 @@ def test_grid_uniform_bound_regression(op):
     assert abs(ratio - GRID_BOUND_PIN) < 1e-9 * GRID_BOUND_PIN
     # exterior lattice points hold exact zeros
     assert not np.any(grid.values[~grid.inside])
+
+
+# -- radial tables ------------------------------------------------------------
+
+
+def test_domain_integral_over_reentrant_table():
+    # waisted at the equator: rays from x in the upper lobe leave the domain
+    # and come back in, so the volume needs every crossing of each ray
+    dom = radial_from_function(lambda u: 1.1 + 2.5 * u[..., 2] ** 4, 48, 96)
+    quad = QuadratureConfig(sphere_nodes=1064)
+    x = np.array([1.2, 0.0, 1.7])
+    rule = sphere_rule_from_count(quad.sphere_nodes)
+    r_ball = ball_radius(dom, quad)
+    xu = rule.points @ x
+    t_max = -xu + np.sqrt(xu * xu + r_ball * r_ball - x @ x)
+    cross = ray_segments(dom, x, rule.points, t_max)
+    assert np.max(np.sum(cross < t_max[:, None], axis=1)) >= 2
+
+    fine = sphere_rule(400, 800)
+    exact = float(fine.weights @ boundary_distance(dom, fine.points) ** 3) / 3.0
+    vol = domain_integral(CurlInverseOp(dom, quad=quad),
+                          lambda y: np.ones(len(y)), x)
+    assert vol == pytest.approx(exact, rel=1e-3)
+
+
+def test_potential_on_table_matches_exact_ellipsoid():
+    exact = ellipsoid(2.0, 2.5, 3.0)
+    table = radial_from_function(lambda u: boundary_distance(exact, u))
+    g = registry_get("nonsol")
+    x = np.array([0.9, -0.4, 0.6])
+    want = curl_inverse(CurlInverseOp(exact), g, x)
+    got = curl_inverse(CurlInverseOp(table), g, x)
+    assert rel(got, want) <= 1e-2
