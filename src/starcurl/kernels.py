@@ -168,10 +168,9 @@ def _line_integrals(x, y, mollifier, n_alpha, weights, need_grad):
     w = np.where(empty[..., None], 0.0, w)
     pts = y[:, None, :] + alpha[..., None] * d[:, None, :]
     outs = []
-    if weights:
-        psi_vals = mollifier.psi(pts)
-        for wf in weights:
-            outs.append(np.einsum("np,np->n", w, psi_vals * wf(alpha)))
+    psi_vals = mollifier.psi(pts)
+    for wf in weights:
+        outs.append(np.einsum("np,np->n", w, psi_vals * wf(alpha)))
     if need_grad:
         gpsi = mollifier.grad_psi(pts)
         for wf in need_grad:
@@ -198,6 +197,20 @@ def kernel_N_tilde(x, y, mollifier: Mollifier, n_alpha: int = 16):
     return out[0] if single else out
 
 
+def _grad_kernels(x, y, mollifier: Mollifier, n_alpha: int):
+    """dN and aux of the catalogue, each (..., i, m), from one psi / grad psi
+    pass over the same nodes."""
+    x, y, single = _as_batch(x, y)
+    d, (i0, jm, km) = _line_integrals(
+        x, y, mollifier, n_alpha,
+        [lambda a: a * (a - 1.0)],
+        [lambda a: a * a * (a - 1.0), lambda a: a * (a - 1.0)],
+    )
+    dN = np.eye(3)[None, :, :] * i0[:, None, None] + d[:, :, None] * jm[:, None, :]
+    aux = d[:, :, None] * km[:, None, :]
+    return (dN[0], aux[0]) if single else (dN, aux)
+
+
 def grad_kernel_N(x, y, mollifier: Mollifier, n_alpha: int = 16):
     """x-gradient of N: (..., i, m) = d N_i / d x_m.
 
@@ -205,24 +218,13 @@ def grad_kernel_N(x, y, mollifier: Mollifier, n_alpha: int = 16):
 
         dN_im = delta_im int psi a(a-1) + d_i int dpsi_m a^2 (a-1).
     """
-    x, y, single = _as_batch(x, y)
-    d, (i0, jm) = _line_integrals(
-        x, y, mollifier, n_alpha,
-        [lambda a: a * (a - 1.0)],
-        [lambda a: a * a * (a - 1.0)],
-    )
-    out = np.eye(3)[None, :, :] * i0[:, None, None] + d[:, :, None] * jm[:, None, :]
-    return out[0] if single else out
+    return _grad_kernels(x, y, mollifier, n_alpha)[0]
 
 
 def kernel_aux(x, y, mollifier: Mollifier, n_alpha: int = 16):
     """Auxiliary kernel d_i * int dpsi_m(y + alpha d) alpha (alpha - 1), as
     the full (..., i, m) matrix."""
-    x, y, single = _as_batch(x, y)
-    d, (km,) = _line_integrals(x, y, mollifier, n_alpha, [],
-                               [lambda a: a * (a - 1.0)])
-    out = d[:, :, None] * km[:, None, :]
-    return out[0] if single else out
+    return _grad_kernels(x, y, mollifier, n_alpha)[1]
 
 
 def kernel_N_form(x, y, mollifier: Mollifier, form: str = "alpha", n: int = 16):

@@ -33,12 +33,13 @@ import numpy as np
 
 from .fields import VectorField
 from .geometry import StarDomain, contains, radial_gap
-from .kernels import (LEVI_CIVITA, grad_kernel_N, kernel_aux, kernel_N,
-                      kernel_N_tilde)
+from .kernels import LEVI_CIVITA, _grad_kernels, kernel_N, kernel_N_tilde
 from .quadrature import (QuadratureConfig, ball_radius, boundary_quadrature,
                          integrate_ball_singular, integrate_sphere_cap,
-                         integrate_sphere_surface, sphere_rule_from_count,
-                         surface_cap_cosine)
+                         sphere_rule_from_count, support_caps)
+# not called here; perfbench's tracer wraps them under these names
+from .kernels import grad_kernel_N, kernel_aux  # noqa: E402,F401
+from .quadrature import integrate_sphere_surface  # noqa: E402,F401
 from .smoothing import Mollifier, eta
 
 __all__ = [
@@ -77,17 +78,6 @@ class CurlInverseOp:
     def r_ball(self) -> float:
         return ball_radius(self.domain, self.quad)
 
-    def _masked(self, g):
-        """Zero-extension of a field outside the domain."""
-        ev = g.eval if isinstance(g, VectorField) else g
-        dom = self.domain
-
-        def g0(y):
-            vals = np.asarray(ev(y))
-            return np.where(contains(dom, y)[..., None], vals, 0.0)
-
-        return g0
-
 
 def _as_point(x):
     x = np.asarray(x, dtype=float)
@@ -105,14 +95,14 @@ def curl_inverse(op: CurlInverseOp, g, x) -> np.ndarray:
     x = _as_point(x)
     if not bool(contains(op.domain, x)):
         return np.zeros(3)
-    g0 = op._masked(g)
     mol, n_alpha = op.mollifier, op.quad.n_alpha
 
     def f(y):
-        return np.cross(g0(y), kernel_N(x, y, mol, n_alpha))
+        return np.cross(g(y), kernel_N(x, y, mol, n_alpha))
 
     return integrate_ball_singular(f, x, op.domain, op.quad,
-                                   support_radius=mol.support_radius)
+                                   support_radius=mol.support_radius,
+                                   zero_outside_domain=True)
 
 
 def curl_inverse_eps(op: CurlInverseOp, g, x, eps: float) -> np.ndarray:
@@ -125,17 +115,17 @@ def curl_inverse_eps(op: CurlInverseOp, g, x, eps: float) -> np.ndarray:
     x = _as_point(x)
     if not bool(contains(op.domain, x)):
         return np.zeros(3)
-    g0 = op._masked(g)
     mol, n_alpha = op.mollifier, op.quad.n_alpha
 
     def f(y):
         r = np.linalg.norm(y - x, axis=-1)
         cut = eta(r / eps)
-        return cut[:, None] * np.cross(g0(y), kernel_N(x, y, mol, n_alpha))
+        return cut[:, None] * np.cross(g(y), kernel_N(x, y, mol, n_alpha))
 
     return integrate_ball_singular(f, x, op.domain, op.quad,
                                    extra_breaks=(eps, 2.0 * eps),
-                                   support_radius=mol.support_radius)
+                                   support_radius=mol.support_radius,
+                                   zero_outside_domain=True)
 
 
 def domain_integral(op: CurlInverseOp, F, x=None) -> float:
@@ -143,13 +133,8 @@ def domain_integral(op: CurlInverseOp, F, x=None) -> float:
     the mean-zero diagnostic of the divergence inverse; the polar center
     defaults to the origin."""
     x = np.zeros(3) if x is None else _as_point(x)
-    dom = op.domain
-
-    def f(y):
-        vals = np.asarray(F(y))
-        return np.where(contains(dom, y), vals, 0.0)
-
-    return float(integrate_ball_singular(f, x, dom, op.quad))
+    return float(integrate_ball_singular(F, x, op.domain, op.quad,
+                                         zero_outside_domain=True))
 
 
 def bogovskii(op: CurlInverseOp, F, x) -> np.ndarray:
@@ -167,14 +152,14 @@ def bogovskii(op: CurlInverseOp, F, x) -> np.ndarray:
         warnings.warn("field passed to the divergence inverse has nonzero "
                       f"mean {mean:.3e}; div(BF) = F will not hold",
                       stacklevel=2)
-    dom, mol, n_alpha = op.domain, op.mollifier, op.quad.n_alpha
+    mol, n_alpha = op.mollifier, op.quad.n_alpha
 
     def f(y):
-        vals = np.where(contains(dom, y), np.asarray(F(y)), 0.0)
-        return vals[:, None] * kernel_N_tilde(x, y, mol, n_alpha)
+        return np.asarray(F(y))[:, None] * kernel_N_tilde(x, y, mol, n_alpha)
 
-    return integrate_ball_singular(f, x, dom, op.quad,
-                                   support_radius=mol.support_radius)
+    return integrate_ball_singular(f, x, op.domain, op.quad,
+                                   support_radius=mol.support_radius,
+                                   zero_outside_domain=True)
 
 
 def _probe_points(domain: StarDomain, n: int = 64):
@@ -186,9 +171,8 @@ def _probe_points(domain: StarDomain, n: int = 64):
 
 def _t3_surface(op: CurlInverseOp, x) -> np.ndarray:
     """Flux of the kernel through the enclosing sphere: the (i, m) matrix
-    of  int N_i(x,y) nu_m(y) dsigma  over |y| = R.  For |x| beyond the
-    mollifier support only a polar cap of the sphere contributes; the cap
-    bound below is exact, so restricting to it loses nothing."""
+    of  int N_i(x,y) nu_m(y) dsigma  over |y| = R, on the caps of the
+    sphere that the kernels can see from x (quadrature.support_caps)."""
     mol, n_alpha = op.mollifier, op.quad.n_alpha
     R = op.r_ball
     rule = sphere_rule_from_count(op.quad.n_surface)
@@ -197,48 +181,37 @@ def _t3_surface(op: CurlInverseOp, x) -> np.ndarray:
         N = kernel_N(x, y, mol, n_alpha)
         return N[:, :, None] * nu[:, None, :]
 
-    rx = float(np.linalg.norm(x))
-    rs = mol.support_radius
-    if rx <= rs:
-        return integrate_sphere_surface(f, R, rule)
-    return integrate_sphere_cap(f, R, x / rx, surface_cap_cosine(rx, rs, R),
-                                rule.n_polar, rule.n_azimuth)
+    return sum(integrate_sphere_cap(f, R, axis, cb, rule.n_polar, rule.n_azimuth)
+               for axis, cb in support_caps(x, mol.support_radius, R))
 
 
 def grad_curl_inverse(op: CurlInverseOp, g, x) -> np.ndarray:
     """Analytic Jacobian of the potential: entry (k, m) is d(Rg)^k/dx_m.
 
     Differentiating under the integral fails pointwise (the differentiated
-    kernel is not integrable), so the value is assembled from three
-    convergent pieces: the difference integral with g(x) subtracted, which
-    restores integrability; the volume term of the kernel's x/y derivative
-    swap; and the flux of the kernel through the enclosing sphere.  The
-    subtraction uses the zero-extended field, so the difference integrand
-    jumps at the domain boundary; the radial panels already split there.
+    kernel is not integrable), so the value is one convergent volume
+    integral over B_R, from one psi / grad psi pass, plus the flux of the
+    kernel through the enclosing sphere.  The volume integrand is the kernel
+    gradient against the zero-extended field minus g(x), which restores
+    integrability, plus g(x) times the kernel of the x/y derivative swap.
+    It jumps at the domain boundary, where the radial panels split.
     """
     x = _as_point(x)
-    if not bool(contains(op.domain, x)) or float(radial_gap(op.domain, x)) < 1e-6:
+    dom = op.domain
+    if not bool(contains(dom, x)) or float(radial_gap(dom, x)) < 1e-6:
         raise ValueError("analytic gradient needs a strictly interior point")
     gx = np.asarray(g(x), dtype=float)
-    g0 = op._masked(g)
     mol, n_alpha = op.mollifier, op.quad.n_alpha
-    rs = mol.support_radius
 
-    def f_diff(y):
-        dN = grad_kernel_N(x, y, mol, n_alpha)          # (n, i, m)
-        dg = g0(y) - gx                                  # (n, j)
-        return dg[:, :, None, None] * dN[:, None, :, :]  # (n, j, i, m)
+    def f(y):
+        dN, aux = _grad_kernels(x, y, mol, n_alpha)      # (n, i, m) each
+        dg = np.where(contains(dom, y)[:, None], np.asarray(g(y)), 0.0) - gx
+        return (dg[:, :, None, None] * dN[:, None, :, :]
+                + gx[None, :, None, None] * aux[:, None, :, :])   # (n, j, i, m)
 
-    A = integrate_ball_singular(f_diff, x, op.domain, op.quad,
-                                support_radius=rs)
-
-    def f_aux(y):
-        return kernel_aux(x, y, mol, n_alpha=n_alpha)    # (n, i, m)
-
-    t2 = integrate_ball_singular(f_aux, x, op.domain, op.quad,
-                                 support_radius=rs)
-    t23 = t2 - _t3_surface(op, x)
-    T = A + gx[:, None, None] * t23[None, :, :]
+    V = integrate_ball_singular(f, x, dom, op.quad,
+                                support_radius=mol.support_radius)
+    T = V - gx[:, None, None] * _t3_surface(op, x)[None, :, :]
     return -np.einsum("ijk,jim->km", LEVI_CIVITA, T)
 
 

@@ -7,20 +7,18 @@ The ball integrator writes
 
 with polar coordinates centered at the evaluation point x.  The rho^2
 Jacobian cancels the kernel's quadratic blow-up, so the radial integrand
-stays bounded along every ray.  Each ray's radial integral is split at the
-domain boundary crossings (zero-extended fields jump there) plus any
-caller-supplied break radii, with a fixed-order Gauss-Legendre panel per
-sub-segment.  One ``geometry.ray_segments`` call gives the crossings of
-all rays for every domain kind, several per ray where a ray leaves a radial
-table and re-enters it, so the nodes form (ray, panel, node) arrays.
+stays bounded along every ray.  Each ray is cut into Gauss-Legendre panels
+at its domain boundary crossings (one ``geometry.ray_segments`` call for
+all rays, several crossings where a ray leaves a radial table and comes
+back) and at caller-supplied break radii.  Only panels of positive width
+get nodes, and an integrand zero outside the domain gets none outside it.
 
-When the integrand is generated by a mollifier supported in B(0, r_s) and
-the evaluation point has |x| > r_s, the line-integral kernels vanish except
-for rays whose backward extension meets that support ball, i.e. directions
-v with v . x/|x| >= sqrt(1 - (r_s/|x|)^2).  Spreading a fixed angular budget
-over the full sphere then wastes almost all nodes; passing
-``support_radius`` concentrates the same budget on exactly the contributing
-cap, which is what keeps far-from-center evaluations at full accuracy.
+A mollifier-generated kernel at x vanishes on every ray whose backward
+extension misses its support B(0, r_s).  ``support_caps`` gives the caps,
+centred on x/|x|, where it can be nonzero: for |x| > r_s the one cap
+v . x/|x| >= sqrt(1 - (r_s/|x|)^2); for |x| <= r_s the whole sphere, split
+into a front and a back cap at v . x = 0, where the kernels turn.  Each
+cap gets the full product rule, which resolves the kernels just inside r_s.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import StarDomain, ray_segments
+from .geometry import StarDomain, contains, ray_segments
 
 __all__ = [
     "QuadratureConfig",
@@ -41,6 +39,7 @@ __all__ = [
     "sphere_rule_from_count",
     "ball_radius",
     "cap_nodes",
+    "support_caps",
     "integrate_ball_singular",
     "integrate_sphere_surface",
     "integrate_sphere_cap",
@@ -165,8 +164,26 @@ def cap_nodes(axis, mu_min: float, n_polar: int, n_azimuth: int):
     return dirs.reshape(-1, 3), w.ravel()
 
 
+def support_caps(x, support_radius: float, radius: float | None = None):
+    """(axis, cosine) pairs for ``cap_nodes``: the caps of ray directions
+    (``radius`` None) or of the sphere |y| = radius through which the kernels
+    at x see the bump B(0, support_radius).  Beyond the support, the one cap
+    outside which they vanish; inside it, a front and a back cap meeting at
+    the turning cosine (0, or |x|/radius).  At x = 0 the axis is e_3."""
+    x = np.asarray(x, dtype=float)
+    rx = float(np.linalg.norm(x))
+    axis = x / rx if rx > 0.0 else np.array([0.0, 0.0, 1.0])
+    if rx > support_radius:
+        if radius is None:
+            return [(axis, math.sqrt(1.0 - (support_radius / rx) ** 2))]
+        return [(axis, surface_cap_cosine(rx, support_radius, radius))]
+    turn = 0.0 if radius is None else rx / radius
+    return [(axis, turn), (-axis, -turn)]
+
+
 def integrate_ball_singular(f, x, domain: StarDomain, cfg: QuadratureConfig,
-                            extra_breaks=(), support_radius=None):
+                            extra_breaks=(), support_radius=None,
+                            zero_outside_domain=False):
     """Integrate f over B_R (R = r_factor * circumradius) in polar coordinates
     centered at x.
 
@@ -178,45 +195,55 @@ def integrate_ball_singular(f, x, domain: StarDomain, cfg: QuadratureConfig,
 
     ``support_radius`` declares that f vanishes on every ray whose backward
     extension misses the ball B(0, support_radius) (true for all the
-    mollifier-generated kernels).  For |x| beyond that radius the angular
-    nodes are then placed on the exact contributing cap instead of the whole
-    sphere; the restriction is lossless, not an approximation.
+    mollifier-generated kernels); the angular nodes then go on the caps of
+    ``support_caps``, with f evaluated once per cap.  ``zero_outside_domain``
+    declares that f vanishes outside the domain (a zero-extended field), so
+    only the panels inside it get nodes.  Both restrictions are lossless.
     """
     x = np.asarray(x, dtype=float)
     r_ball = ball_radius(domain, cfg)
     if float(x @ x) >= r_ball * r_ball:
         raise ValueError("evaluation point must lie strictly inside B_R")
     rule = sphere_rule_from_count(cfg.sphere_nodes)
-    dirs, dw = rule.points, rule.weights
-    rx = float(np.linalg.norm(x))
-    if support_radius is not None and rx > support_radius:
-        mu_min = math.sqrt(1.0 - (support_radius / rx) ** 2)
-        dirs, dw = cap_nodes(x / rx, mu_min, rule.n_polar, rule.n_azimuth)
-    y, w = _ray_nodes(x, domain, cfg, dirs, dw, r_ball, extra_breaks)
-    vals = np.asarray(f(y))
-    return np.tensordot(w, vals, axes=1)
+    caps = ([(rule.points, rule.weights)] if support_radius is None else
+            [cap_nodes(axis, mu, rule.n_polar, rule.n_azimuth)
+             for axis, mu in support_caps(x, support_radius)])
+    total = 0.0
+    for u, dw in caps:
+        y, w = _ray_nodes(x, domain, cfg, u, dw, r_ball, extra_breaks,
+                          zero_outside_domain)
+        total = total + np.tensordot(w, np.asarray(f(y)), axes=1)
+    return total
 
 
-def _ray_nodes(x, domain, cfg, u, dw, r_ball, extra_breaks):
+def _ray_nodes(x, domain, cfg, u, dw, r_ball, extra_breaks,
+               zero_outside_domain):
     """Nodes and weights of the polar rule along the unit directions ``u``,
-    built as (ray, panel, node) arrays and flattened.  Padded crossings and
-    breaks beyond a ray's exit from B_R give zero-width panels of weight 0."""
+    as a flattened (panel, node) array.  Zero-width panels (padded crossings,
+    breaks beyond the exit from B_R) get no nodes, nor, with
+    ``zero_outside_domain``, do the panels outside the domain."""
     xu = u @ x
     rho_exit = -xu + np.sqrt(xu * xu + r_ball * r_ball - float(x @ x))
-
-    cols = [np.zeros((u.shape[0], 1)), ray_segments(domain, x, u, rho_exit)]
+    cross = ray_segments(domain, x, u, rho_exit)
+    cols = [np.zeros((u.shape[0], 1)), cross]
     for b in extra_breaks:
         cols.append(np.clip(float(b), 0.0, rho_exit)[:, None])
     cols.append(rho_exit[:, None])
     edges = np.sort(np.concatenate(cols, axis=1), axis=1)   # (n_ray, k+1)
-
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    keep = hi > lo
+    if zero_outside_domain:
+        # a ray changes side at each crossing (padding is past every panel)
+        n_before = np.sum(cross[:, None, :] < 0.5 * (lo + hi)[..., None], axis=2)
+        keep &= (n_before % 2 == 0) == bool(contains(domain, x))
+    ray = np.nonzero(keep)[0]
     t, wg = gauss_legendre(cfg.n_rho)
-    half = 0.5 * (edges[:, 1:] - edges[:, :-1])       # (n_ray, k)
-    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-    rho = mid[..., None] + half[..., None] * t        # (n_ray, k, n_rho)
-    w_rad = half[..., None] * wg * rho * rho
-    w = (dw[:, None, None] * w_rad).ravel()
-    y = x[None, None, None, :] + rho[..., None] * u[:, None, None, :]
+    half = 0.5 * (hi[keep] - lo[keep])                # (n_panel,)
+    mid = 0.5 * (hi[keep] + lo[keep])
+    rho = mid[:, None] + half[:, None] * t            # (n_panel, n_rho)
+    w_rad = half[:, None] * wg * rho * rho
+    w = (dw[ray][:, None] * w_rad).ravel()
+    y = x + rho[..., None] * u[ray][:, None, :]
     return y.reshape(-1, 3), w
 
 
@@ -257,23 +284,21 @@ def boundary_quadrature(domain: StarDomain, n: int, x=None, support_radius=None)
     sum w_i h(y_i, nu_i) approximates the surface integral of h.
 
     For ball domains, passing the evaluation point ``x`` together with the
-    ``support_radius`` of the mollifier restricts the rule to the exact
-    spherical cap that the kernels can see from x (cf. cap_nodes); elsewhere
+    ``support_radius`` of the mollifier places the rule on the caps of the
+    sphere that the kernels can see from x (cf. support_caps); elsewhere
     both are ignored.  Tabulated radial shapes carry no closed-form surface
     element and are not supported here.
     """
     if domain.kind == "ball":
         r0 = float(domain.params[0])
-        if x is not None and support_radius is not None:
-            rx = float(np.linalg.norm(np.asarray(x, dtype=float)))
-            if rx > support_radius:
-                rule = sphere_rule_from_count(n)
-                cb = surface_cap_cosine(rx, support_radius, r0)
-                nu, w = cap_nodes(np.asarray(x) / rx, cb,
-                                  rule.n_polar, rule.n_azimuth)
-                return r0 * nu, r0 * r0 * w, nu
         rule = sphere_rule_from_count(n)
-        return r0 * rule.points, r0 * r0 * rule.weights, rule.points
+        if x is None or support_radius is None:
+            return r0 * rule.points, r0 * r0 * rule.weights, rule.points
+        caps = [cap_nodes(axis, cb, rule.n_polar, rule.n_azimuth)
+                for axis, cb in support_caps(x, support_radius, r0)]
+        nu = np.concatenate([c[0] for c in caps])
+        w = np.concatenate([c[1] for c in caps])
+        return r0 * nu, r0 * r0 * w, nu
     if domain.kind == "ellipsoid":
         a = np.asarray(domain.params, dtype=float)
         rule = sphere_rule_from_count(n)

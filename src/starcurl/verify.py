@@ -328,14 +328,14 @@ def _curl_inverse_form(op: CurlInverseOp, g, x, form: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not bool(contains(op.domain, x)):
         return np.zeros(3)
-    g0 = op._masked(g)
     mol, n_alpha = op.mollifier, op.quad.n_alpha
 
     def f(y):
-        return np.cross(g0(y), kernel_N_form(x, y, mol, form, n_alpha))
+        return np.cross(g(y), kernel_N_form(x, y, mol, form, n_alpha))
 
     return integrate_ball_singular(f, x, op.domain, op.quad,
-                                   support_radius=mol.support_radius)
+                                   support_radius=mol.support_radius,
+                                   zero_outside_domain=True)
 
 
 def forms_check(op: CurlInverseOp, g, points, tol: float = 1e-6) -> CheckReport:

@@ -24,10 +24,10 @@ from starcurl.operators import (
     grad_curl_inverse,
     residual_identity,
 )
-from starcurl.quadrature import (QuadratureConfig, ball_radius, sphere_rule,
-                                 sphere_rule_from_count)
+from starcurl.quadrature import (QuadratureConfig, _ray_nodes, ball_radius,
+                                 sphere_rule, sphere_rule_from_count)
 from starcurl.smoothing import Mollifier
-from starcurl.verify import fd_div, fd_jacobian
+from starcurl.verify import fd_div, fd_jacobian, grad_check
 
 RIGID = registry_get("rigid")
 E1 = registry_get("constant", 1.0, 0.0, 0.0)
@@ -209,6 +209,27 @@ def test_residual_vanishes_for_tangent_solenoidal_field(op):
     assert np.max(np.abs(r)) < 1e-9
 
 
+_SHELL_U = np.array([0.4397684526343243, -0.8501947872232488, -0.289434849052471])
+
+
+@pytest.mark.parametrize("x", [
+    (-0.3023765977695705, -0.8181348005893327, 0.12417121008503562),
+    (-0.7440925155620723, 0.5039812200342988, -0.03403409111141853),
+    (-0.8473065595506744, -0.25615854557899853, -0.07580964152174197),
+    tuple(0.8995 * _SHELL_U),
+    tuple(0.9005 * _SHELL_U),
+])
+def test_decomposition_and_gradient_hold_at_the_support_shell(op, x):
+    # just inside the bump's support the kernels turn where its boundary
+    # passes behind x; the angular rule must resolve that as well as the
+    # cap rule does just outside it
+    g = registry_get("nonsol")
+    x = np.array(x)
+    r = residual_identity(op, g, x) - boundary_flux_term(op, g, x)
+    assert np.max(np.abs(r)) <= 1e-4
+    assert grad_check(op, g, x[None], h=2e-3, tol=1e-3).passed
+
+
 def test_residual_equals_flux_term_for_solenoidal_flow(op):
     # the residual curl(Rg) - g + B[div g] is the boundary flux term; with
     # div g = 0 the B part is exactly zero, and the gap itself is not small
@@ -274,6 +295,24 @@ def test_domain_integral_over_reentrant_table():
     vol = domain_integral(CurlInverseOp(dom, quad=quad),
                           lambda y: np.ones(len(y)), x)
     assert vol == pytest.approx(exact, rel=1e-3)
+
+
+def test_ray_nodes_skip_padded_panels_and_the_outside():
+    # only 24 of the 1064 rays cross 3 or 5 times; the others must not pay
+    # for their panels, and a zero-extended integrand gets no node outside
+    dom = radial_from_function(lambda u: 1.1 + 2.5 * u[..., 2] ** 4, 48, 96)
+    quad = QuadratureConfig(sphere_nodes=1064)
+    x = np.array([1.2, 0.0, 1.7])
+    rule = sphere_rule_from_count(quad.sphere_nodes)
+    r_ball = ball_radius(dom, quad)
+    counts = []
+    for inside_only in (False, True):
+        y, w = _ray_nodes(x, dom, quad, rule.points, rule.weights, r_ball, (),
+                          inside_only)
+        assert len(y) == len(w)
+        assert np.all(w != 0.0)
+        counts.append(len(w))
+    assert counts == [69_760, 34_880]
 
 
 def test_potential_on_table_matches_exact_ellipsoid():

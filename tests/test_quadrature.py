@@ -14,6 +14,7 @@ from starcurl.quadrature import (
     integrate_sphere_surface,
     sphere_rule,
     sphere_rule_from_count,
+    support_caps,
     surface_cap_cosine,
 )
 from starcurl.smoothing import Mollifier
@@ -81,6 +82,41 @@ def test_cap_nodes_weight_sum(rng):
         assert np.sum(w) == pytest.approx(2.0 * np.pi * (1.0 - mu), rel=1e-12)
         assert np.min(nu @ axis) >= mu - 1e-12
         assert np.max(np.abs(np.linalg.norm(nu, axis=1) - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("radius", [None, 2.1])
+def test_support_caps_beyond_support_is_the_one_cap(radius):
+    x = np.array([1.3, 0.2, -0.4])
+    rx = float(np.linalg.norm(x))
+    ((axis, c),) = support_caps(x, 0.9, radius)
+    assert np.array_equal(axis, x / rx)
+    want = (np.sqrt(1.0 - (0.9 / rx) ** 2) if radius is None
+            else surface_cap_cosine(rx, 0.9, radius))
+    assert c == want
+
+
+@pytest.mark.parametrize("radius", [None, 2.1])
+@pytest.mark.parametrize("x", [[0.3, -0.2, 0.1], [0.0, 0.0, 0.0], [0.0, 0.9, 0.0]])
+def test_support_caps_inside_support_split_the_sphere(x, radius):
+    x = np.array(x)
+    (a1, c1), (a2, c2) = support_caps(x, 0.9, radius)
+    turn = 0.0 if radius is None else np.linalg.norm(x) / radius
+    assert np.allclose(np.linalg.norm(a1), 1.0)
+    # the caps meet at the turning cosine and tile the sphere
+    assert np.array_equal(a2, -a1)
+    assert c1 == turn and c2 == -turn
+    w = np.concatenate([cap_nodes(a, c, 14, 19)[1] for a, c in ((a1, c1), (a2, c2))])
+    assert np.sum(w) == pytest.approx(4.0 * np.pi, rel=1e-12)
+    if np.any(x):
+        assert np.allclose(a1, x / np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("radius", [None, 2.1])
+def test_support_caps_front_cap_meets_outer_cap_at_the_support(radius):
+    u = np.array([0.48, -0.6, 0.64])
+    (_, inner), _ = support_caps((0.9 - 1e-9) * u, 0.9, radius)
+    ((_, outer),) = support_caps((0.9 + 1e-9) * u, 0.9, radius)
+    assert abs(inner - outer) < 1e-4
 
 
 def test_ball_radius():
