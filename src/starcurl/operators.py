@@ -32,14 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import VectorField
-from .geometry import StarDomain, contains, radial_gap
+from .geometry import StarDomain, ball, contains, radial_gap
 from .kernels import LEVI_CIVITA, _grad_kernels, kernel_N, kernel_N_tilde
 from .quadrature import (QuadratureConfig, ball_radius, boundary_quadrature,
-                         integrate_ball_singular, integrate_sphere_cap,
-                         sphere_rule_from_count, support_caps)
-# not called here; perfbench's tracer wraps them under these names
+                         integrate_ball_singular)
+# not called here, integrate_sphere_cap included (boundary_quadrature is the
+# one surface rule); perfbench's tracer wraps them under these names
 from .kernels import grad_kernel_N, kernel_aux  # noqa: E402,F401
-from .quadrature import integrate_sphere_surface  # noqa: E402,F401
+from .quadrature import integrate_sphere_cap, integrate_sphere_surface  # noqa: E402,F401
 from .smoothing import Mollifier, eta
 
 __all__ = [
@@ -170,19 +170,12 @@ def _probe_points(domain: StarDomain, n: int = 64):
 
 
 def _t3_surface(op: CurlInverseOp, x) -> np.ndarray:
-    """Flux of the kernel through the enclosing sphere: the (i, m) matrix
-    of  int N_i(x,y) nu_m(y) dsigma  over |y| = R, on the caps of the
-    sphere that the kernels can see from x (quadrature.support_caps)."""
-    mol, n_alpha = op.mollifier, op.quad.n_alpha
-    R = op.r_ball
-    rule = sphere_rule_from_count(op.quad.n_surface)
-
-    def f(y, nu):
-        N = kernel_N(x, y, mol, n_alpha)
-        return N[:, :, None] * nu[:, None, :]
-
-    return sum(integrate_sphere_cap(f, R, axis, cb, rule.n_polar, rule.n_azimuth)
-               for axis, cb in support_caps(x, mol.support_radius, R))
+    """Flux of the kernel through the enclosing sphere |y| = R, the matrix
+    int N_i(x,y) nu_m(y) dsigma, on boundary_quadrature's nodes for B_R at x."""
+    mol = op.mollifier
+    y, w, nu = boundary_quadrature(ball(op.r_ball), op.quad.n_surface,
+                                   x=x, support_radius=mol.support_radius)
+    return np.einsum("n,ni,nm->im", w, kernel_N(x, y, mol, op.quad.n_alpha), nu)
 
 
 def grad_curl_inverse(op: CurlInverseOp, g, x) -> np.ndarray:

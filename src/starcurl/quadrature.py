@@ -19,6 +19,12 @@ centred on x/|x|, where it can be nonzero: for |x| > r_s the one cap
 v . x/|x| >= sqrt(1 - (r_s/|x|)^2); for |x| <= r_s the whole sphere, split
 into a front and a back cap at v . x = 0, where the kernels turn.  Each
 cap gets the full product rule, which resolves the kernels just inside r_s.
+
+Surface integrals over a ball or ellipsoid (semi-axes a) use the same rays:
+one leaving a centre c along v exits at y = c + rho v, where the outward
+normal is nu ~ y / a^2, and its solid-angle weight w becomes w rho^2 / (v . nu).
+Seen from x, a ball keeps c = 0 and its sphere's caps; an ellipsoid takes
+c = x and the direction caps, as the patch x sees on it is no origin cap.
 """
 
 from __future__ import annotations
@@ -277,37 +283,37 @@ def surface_cap_cosine(rx: float, r_support: float, radius: float) -> float:
 
 
 def boundary_quadrature(domain: StarDomain, n: int, x=None, support_radius=None):
-    """Quadrature for integrals over the domain boundary.
-
-    Returns (points, weights, normals): m boundary points, positive weights
-    summing to the surface area, and outward unit normals, so that
+    """Quadrature for integrals over the domain boundary: (points, weights,
+    normals) with positive weights and outward unit normals, so that
     sum w_i h(y_i, nu_i) approximates the surface integral of h.
 
-    For ball domains, passing the evaluation point ``x`` together with the
-    ``support_radius`` of the mollifier places the rule on the caps of the
-    sphere that the kernels can see from x (cf. support_caps); elsewhere
-    both are ignored.  Tabulated radial shapes carry no closed-form surface
-    element and are not supported here.
+    Balls and ellipsoids take the ray exits of the module docstring, from
+    the origin over the whole sphere (n-node product rule) or, given ``x``
+    and ``support_radius``, over the caps of support_caps through which the
+    kernels at x see the bump.  Rays from an x outside the domain miss the
+    surface and get no node.  A box gets a Gauss-Legendre rule on each face,
+    whatever x is; tabulated radial shapes carry no closed-form surface
+    element and are not supported.
     """
-    if domain.kind == "ball":
-        r0 = float(domain.params[0])
+    if domain.kind in ("ball", "ellipsoid"):
+        a = np.broadcast_to(np.asarray(domain.params, dtype=float), (3,))
         rule = sphere_rule_from_count(n)
-        if x is None or support_radius is None:
-            return r0 * rule.points, r0 * r0 * rule.weights, rule.points
-        caps = [cap_nodes(axis, cb, rule.n_polar, rule.n_azimuth)
-                for axis, cb in support_caps(x, support_radius, r0)]
-        nu = np.concatenate([c[0] for c in caps])
-        w = np.concatenate([c[1] for c in caps])
-        return r0 * nu, r0 * r0 * w, nu
-    if domain.kind == "ellipsoid":
-        a = np.asarray(domain.params, dtype=float)
-        rule = sphere_rule_from_count(n)
-        u = rule.points
-        nvec = u / a                     # gradient direction of the level set
-        norms = np.linalg.norm(nvec, axis=1)
-        pts = u * a
-        w = float(np.prod(a)) * norms * rule.weights
-        return pts, w, nvec / norms[:, None]
+        c, caps = np.zeros(3), [(rule.points, rule.weights)]
+        if x is not None and support_radius is not None:
+            from_x = domain.kind == "ellipsoid"
+            c = np.asarray(x, dtype=float) if from_x else c
+            caps = [cap_nodes(axis, mu, rule.n_polar, rule.n_azimuth) for axis, mu
+                    in support_caps(x, support_radius, None if from_x else a[0])]
+        v = np.concatenate([u for u, _ in caps])
+        dw = np.concatenate([w for _, w in caps])
+        t_max = np.full(len(v), domain.diameter)
+        rho = ray_segments(domain, c, v, t_max)[:, -1]
+        hit = rho < t_max
+        v, dw, rho = v[hit], dw[hit], rho[hit]
+        y = c + rho[:, None] * v
+        nu = y / (a * a)
+        nu /= np.linalg.norm(nu, axis=1)[:, None]
+        return y, dw * rho * rho / np.einsum("ij,ij->i", v, nu), nu
     if domain.kind == "box":
         h = np.asarray(domain.params, dtype=float)
         m = max(2, round(math.sqrt(n / 6.0)))

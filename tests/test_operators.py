@@ -230,6 +230,31 @@ def test_decomposition_and_gradient_hold_at_the_support_shell(op, x):
     assert grad_check(op, g, x[None], h=2e-3, tol=1e-3).passed
 
 
+@pytest.mark.parametrize("x", [
+    (0.9, -0.4, 0.6),
+    (-1.06, 0.124, 1.398),
+    (0.948, 0.665, -1.852),
+    (0.76, 1.785, -1.118),
+])
+@pytest.mark.filterwarnings("ignore:field passed to the divergence inverse")
+def test_decomposition_closes_on_the_ellipsoid(x):
+    # the flux term needs the surface patch the kernels at x see; on an
+    # ellipsoid that patch is no cap about the origin
+    op = CurlInverseOp(ellipsoid(2.0, 2.5, 3.0))
+    g = registry_get("nonsol")
+    x = np.array(x)
+    r = residual_identity(op, g, x) - boundary_flux_term(op, g, x)
+    assert np.max(np.abs(r)) <= 5e-3
+
+
+@pytest.mark.parametrize("dom", [ball(2.0), ellipsoid(2.0, 2.5, 3.0)])
+def test_flux_term_vanishes_outside(dom):
+    # from outside, every ray the kernels use misses the boundary
+    op = CurlInverseOp(dom)
+    for x in ([3.2, 0.0, 0.0], [0.0, 2.6, 0.1], [-3.0, 1.0, 4.0]):
+        assert np.array_equal(boundary_flux_term(op, E1, x), np.zeros(3))
+
+
 def test_residual_equals_flux_term_for_solenoidal_flow(op):
     # the residual curl(Rg) - g + B[div g] is the boundary flux term; with
     # div g = 0 the B part is exactly zero, and the gap itself is not small

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from starcurl.fields import registry_get
 from starcurl.geometry import ball, box, ellipsoid, radial_from_function
 from starcurl.kernels import kernel_N, kernel_N_tilde
 from starcurl.quadrature import (
@@ -240,6 +241,57 @@ def test_boundary_quadrature_ball_cap_mode():
     cb = surface_cap_cosine(1.5, 0.9, 2.0)
     assert np.sum(w) == pytest.approx(2.0 * np.pi * 4.0 * (1.0 - cb), rel=1e-12)
     assert np.min(nu @ (x / 1.5)) >= cb - 1e-12
+
+
+@pytest.mark.parametrize("dom,x", [
+    (ball(2.0), None),
+    (ball(2.0), (1.5, 0.0, 0.0)),
+    (ball(2.0), (0.3, -0.2, 0.1)),
+    (ellipsoid(2.0, 2.5, 3.0), None),
+    (ellipsoid(2.0, 2.5, 3.0), (0.9, -0.4, 0.6)),
+    (ellipsoid(2.0, 2.5, 3.0), (0.3, -0.2, 0.1)),
+    (ellipsoid(2.0, 2.5, 3.0), (0.948, 0.665, -1.852)),
+])
+def test_boundary_quadrature_nodes_lie_on_the_surface(dom, x):
+    pts, w, nu = boundary_quadrature(dom, 590, x=x, support_radius=0.9)
+    a = np.broadcast_to(np.asarray(dom.params), (3,))
+    assert len(w) > 0 and np.all(w > 0.0)
+    assert np.max(np.abs(np.linalg.norm(pts / a, axis=1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(np.linalg.norm(nu, axis=1) - 1.0)) <= 1e-12
+    # outward: nu is the direction of the level-set gradient y / a^2
+    grad = pts / (a * a)
+    assert np.max(np.abs(nu - grad / np.linalg.norm(grad, axis=1)[:, None])) <= 1e-12
+    assert np.all(np.einsum("ij,ij->i", nu, pts) > 0.0)
+
+
+def test_boundary_quadrature_ellipsoid_sees_the_patch_from_x():
+    # the flux term's integrand at x: the capped 590-node rule matches a
+    # fine rule over the whole surface, which knows nothing about x
+    dom = ellipsoid(2.0, 2.5, 3.0)
+    g = registry_get("nonsol")
+    x = np.array([0.9, -0.4, 0.6])
+
+    def flux(pts, w, nu):
+        gn = np.einsum("ij,ij->i", g(pts), nu)
+        return np.tensordot(w, gn[:, None] * kernel_N_tilde(x, pts, MOL), axes=1)
+
+    capped = flux(*boundary_quadrature(dom, 590, x=x, support_radius=0.9))
+    full = flux(*boundary_quadrature(dom, 160 * 320))
+    assert np.max(np.abs(capped - full)) <= 1e-5
+
+
+@pytest.mark.parametrize("x", [(1.3, 0.2, -0.4), (0.3, -0.5, 0.4)])
+def test_boundary_quadrature_ball_flux_matches_the_cap_integrals(x):
+    # on a ball the rays leave the origin over the caps of support_caps, so
+    # the sphere flux of N equals the sum of the cap integrals
+    x = np.array(x)
+    pts, w, nu = boundary_quadrature(ball(2.1), 590, x=x, support_radius=0.9)
+    flux = np.einsum("n,ni,nm->im", w, kernel_N(x, pts, MOL), nu)
+    rule = sphere_rule_from_count(590)
+    f = lambda y, n: kernel_N(x, y, MOL)[:, :, None] * n[:, None, :]
+    caps = sum(integrate_sphere_cap(f, 2.1, axis, cb, rule.n_polar, rule.n_azimuth)
+               for axis, cb in support_caps(x, 0.9, 2.1))
+    assert np.max(np.abs(flux - caps)) <= 1e-14 * np.max(np.abs(caps))
 
 
 @pytest.mark.parametrize(
