@@ -207,9 +207,19 @@ def _validate(cfg: RunConfig) -> None:
         if opt.choices and getattr(cfg, opt.attr) not in opt.choices:
             raise ValueError(f"{opt.key} must be one of {', '.join(opt.choices)}, "
                              f"got {getattr(cfg, opt.attr)!r}")
-    for knob in (cfg.h, cfg.tol):
-        if knob != "auto":
-            float(knob)
+    if cfg.h != "auto" and not 0.0 < float(cfg.h) < math.inf:
+        raise ValueError(f"h must be a positive finite step, got {cfg.h}")
+    if cfg.tol != "auto" and not 0.0 <= float(cfg.tol) < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {cfg.tol}")
+    if not 0.0 <= cfg.margin < math.inf:
+        raise ValueError(f"margin must be finite and non-negative, got {cfg.margin}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {cfg.seed}")
+    eps = cfg.eps_list
+    if not (all(0.0 < e < math.inf for e in eps)
+            and all(a > b for a, b in zip(eps, eps[1:]))):
+        raise ValueError("eps must be positive finite radii in strictly "
+                         "decreasing order, got " + _fmt_tuple(eps))
     if cfg.n_points != "auto" and int(cfg.n_points) < 1:
         raise ValueError(f"n_points must be at least 1, got {cfg.n_points}")
     if cfg.threads < 1:

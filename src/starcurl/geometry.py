@@ -135,11 +135,17 @@ def radial(cos_theta: np.ndarray, phi: np.ndarray, rvals: np.ndarray) -> StarDom
     return StarDomain("radial", table=(ct, ph, rv))
 
 
+def _standard_grid(n_polar: int, n_azimuth: int):
+    """The angular grid of tabulated and stored radial tables: Gauss-Legendre
+    rows in cos(theta), descending (north pole first), and uniform phi
+    columns from 0."""
+    ct, _ = np.polynomial.legendre.leggauss(n_polar)
+    return ct[::-1], 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
+
+
 def radial_from_function(fn, n_polar: int = 32, n_azimuth: int = 64) -> StarDomain:
     """Tabulate r(u) = fn(u) over a Gauss-Legendre x uniform angular grid."""
-    ct, _ = np.polynomial.legendre.leggauss(n_polar)
-    ct = ct[::-1]  # descending: north pole first
-    ph = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
+    ct, ph = _standard_grid(n_polar, n_azimuth)
     st = np.sqrt(np.maximum(0.0, 1.0 - ct**2))
     u = np.empty((n_polar, n_azimuth, 3))
     u[..., 0] = st[:, None] * np.cos(ph)[None, :]
@@ -223,13 +229,19 @@ def load_radial_table(path: str) -> StarDomain:
         raise ValueError(
             f"radial table holds {vals.size} values, expected {n_polar * n_azimuth}"
         )
-    ct, _ = np.polynomial.legendre.leggauss(n_polar)
-    ph = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
-    return radial(ct[::-1], ph, vals.reshape(n_polar, n_azimuth))
+    return radial(*_standard_grid(n_polar, n_azimuth),
+                  vals.reshape(n_polar, n_azimuth))
 
 
 def save_radial_table(dom: StarDomain, path: str) -> None:
+    """Write a radial table in load_radial_table's format.  The file stores
+    only the grid sizes, so a table on any other angular grid is refused
+    rather than reloaded onto the standard one."""
     ct, ph, rv = dom.table
+    std_ct, std_ph = _standard_grid(ct.size, ph.size)
+    if not (np.array_equal(ct, std_ct) and np.array_equal(ph, std_ph)):
+        raise ValueError("radial table is not on the standard Gauss-Legendre x "
+                         "uniform grid, which is all its file format can hold")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{ct.size},{ph.size}\n")
         for v in rv.ravel():

@@ -1,13 +1,19 @@
 """Weakly singular integral kernels built from inner line integrals of the bump.
 
-All kernels reduce to integrals of the form
+All kernels reduce to one line integral, _line_integrals:
 
-    int psi(y + alpha (x-y)) * poly(alpha) d alpha
+    int psi(base + s direction) * weight(s) ds
 
-over the exact interval where the segment {y + alpha (x-y) : alpha >= 1}
-crosses the bump support B(0, r_psi).  That interval is the solution of a
-quadratic inequality (alpha_support); restricting the quadrature to it is
-what makes fixed-order rules accurate.
+over the exact interval of s >= floor where the line crosses the bump
+support B(0, r_psi).  That interval is the solution of a quadratic
+inequality (_support_batch; alpha_support for one pair); restricting the
+quadrature to it is what makes fixed-order rules accurate.  With
+d = x - y and u = d / |d|, the three parameterizations of N differ only in
+their arguments (base, direction, floor, weight):
+
+    alpha: (y, d, 1, alpha (alpha - 1))             the defining form
+    xi:    (y, u, |d|, xi (xi - |d|) / |d|^3)       arc length from y
+    r:     (x, u, 0, r (r + |d|) / |d|^3)           arc length beyond x
 
 The bump has essential singularities at the support-boundary roots of the
 quadratic (it is flat to all orders but not analytic there), which caps
@@ -81,36 +87,33 @@ class AlphaInterval:
         return 0.5 * (self.lo + self.hi)
 
 
-def _support_batch(x: np.ndarray, y: np.ndarray, r_psi: float):
-    """Vectorized interval solve.  Returns (lo, hi, empty, clipped) arrays;
-    ``clipped`` marks rows whose left endpoint is the cut at alpha = 1
+def _support_batch(base, direction, floor, r_psi: float):
+    """Vectorized interval solve of |base + s direction| < r_psi over
+    s >= floor, per row.  Returns (lo, hi, empty, clipped) arrays;
+    ``clipped`` marks rows whose left endpoint is the cut at the floor
     rather than a support root."""
-    d = x - y
-    a = np.einsum("...i,...i->...", d, d)
-    if np.any(a < _MIN_SEP * _MIN_SEP):
-        raise ValueError("kernel evaluated too close to the singular point x = y")
-    b = np.einsum("...i,...i->...", y, d)
-    c = np.einsum("...i,...i->...", y, y) - r_psi * r_psi
+    a = np.einsum("...i,...i->...", direction, direction)
+    b = np.einsum("...i,...i->...", base, direction)
+    c = np.einsum("...i,...i->...", base, base) - r_psi * r_psi
     disc = b * b - a * c
     pos = disc > 0.0
     sq = np.sqrt(np.where(pos, disc, 0.0))
     root_lo = (-b - sq) / a
     hi = (-b + sq) / a
-    lo = np.maximum(1.0, root_lo)
+    lo = np.maximum(floor, root_lo)
     empty = ~pos | (hi <= lo)
-    clipped = root_lo < 1.0
+    clipped = root_lo < floor
     return lo, hi, empty, clipped
 
 
 def alpha_support(x, y, r_psi: float) -> AlphaInterval:
     """Solve |d|^2 a^2 + 2 (y.d) a + |y|^2 - r_psi^2 < 0 for the segment
     parameter, intersected with [1, inf)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    lo, hi, empty, _ = _support_batch(x, y, r_psi)
-    if empty:
+    _, y, d, _ = _as_batch(x, y)
+    lo, hi, empty, _ = _support_batch(y, d, 1.0, r_psi)
+    if empty[0]:
         return AlphaInterval(0.0, 0.0, True)
-    return AlphaInterval(float(lo), float(hi), False)
+    return AlphaInterval(float(lo[0]), float(hi[0]), False)
 
 
 def _panel_nodes(lo, hi, empty, clipped, n_alpha):
@@ -143,56 +146,60 @@ def _panel_nodes(lo, hi, empty, clipped, n_alpha):
 
 
 def _as_batch(x, y):
-    """x and y as float arrays, y as an (n, 3) batch, and whether y was one
-    point.  x must be one point (3,) or one point per row of y."""
+    """x and y as float arrays, y and d = x - y as (n, 3) batches, and
+    whether y was one point.  x must be one point (3,) or one point per row
+    of y, and no x may sit on its y."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     y, single = (y[None, :], True) if y.ndim == 1 else (y, False)
     if x.ndim != 1 and x.shape != y.shape:
         raise ValueError(f"x of shape {x.shape} does not pair with y of shape {y.shape}")
-    return x, y, single
-
-
-def _line_integrals(x, y, mollifier, n_alpha, weights, need_grad):
-    """Shared core: evaluates psi (and grad psi when needed) on the graded
-    nodes and returns one reduced integral per weight polynomial.
-
-    ``x`` is one point (3,) or one point per row of ``y`` (n, 3).
-    ``weights`` is a sequence of callables alpha -> weight array.  Scalar
-    integrals come back with shape (n,); gradient integrals (from grad psi)
-    with shape (n, 3).
-    """
     d = x - y
-    lo, hi, empty, clipped = _support_batch(x, y, mollifier.support_radius)
-    alpha, w = _panel_nodes(lo, hi, empty, clipped, n_alpha)
+    if np.any(np.einsum("ni,ni->n", d, d) < _MIN_SEP * _MIN_SEP):
+        raise ValueError("kernel evaluated too close to the singular point x = y")
+    return x, y, d, single
+
+
+def _line_integrals(base, direction, floor, mollifier, n, weights,
+                    grad_weights=()):
+    """The one line integral behind every kernel: graded nodes on
+    {s >= floor : |base + s direction| < r_psi}, one psi pass (and one
+    grad psi pass when ``grad_weights`` is given), reduced against each
+    weight polynomial.
+
+    ``direction`` is an (n, 3) batch; ``base`` is one point or one point
+    per row, and ``floor`` a scalar or one value per row.  Each weight is a
+    callable s -> weight array.  Scalar integrals come back with shape
+    (n,), then gradient integrals (from grad psi) with shape (n, 3).
+    """
+    base = np.broadcast_to(base, direction.shape)
+    lo, hi, empty, clipped = _support_batch(base, direction, floor,
+                                            mollifier.support_radius)
+    s, w = _panel_nodes(lo, hi, empty, clipped, n)
     w = np.where(empty[..., None], 0.0, w)
-    pts = y[:, None, :] + alpha[..., None] * d[:, None, :]
-    outs = []
+    pts = base[:, None, :] + s[..., None] * direction[:, None, :]
     psi_vals = mollifier.psi(pts)
-    for wf in weights:
-        outs.append(np.einsum("np,np->n", w, psi_vals * wf(alpha)))
-    if need_grad:
+    outs = [np.einsum("np,np->n", w, psi_vals * wf(s)) for wf in weights]
+    if grad_weights:
         gpsi = mollifier.grad_psi(pts)
-        for wf in need_grad:
-            outs.append(np.einsum("np,npi->ni", w * wf(alpha), gpsi))
-    return d, outs
+        outs += [np.einsum("np,npi->ni", w * wf(s), gpsi) for wf in grad_weights]
+    return outs
 
 
 def kernel_N(x, y, mollifier: Mollifier, n_alpha: int = 16):
     """Curl-inverse kernel N(x, y); vectorized over rows of y, with x either
     one point or one point per row."""
-    x, y, single = _as_batch(x, y)
-    d, (i0,) = _line_integrals(x, y, mollifier, n_alpha,
-                               [lambda a: a * (a - 1.0)], ())
+    x, y, d, single = _as_batch(x, y)
+    (i0,) = _line_integrals(y, d, 1.0, mollifier, n_alpha,
+                            [lambda a: a * (a - 1.0)])
     out = d * i0[:, None]
     return out[0] if single else out
 
 
 def kernel_N_tilde(x, y, mollifier: Mollifier, n_alpha: int = 16):
     """Divergence-inverse kernel Ntilde(x, y); weight alpha^2."""
-    x, y, single = _as_batch(x, y)
-    d, (i0,) = _line_integrals(x, y, mollifier, n_alpha,
-                               [lambda a: a * a], ())
+    x, y, d, single = _as_batch(x, y)
+    (i0,) = _line_integrals(y, d, 1.0, mollifier, n_alpha, [lambda a: a * a])
     out = d * i0[:, None]
     return out[0] if single else out
 
@@ -200,9 +207,9 @@ def kernel_N_tilde(x, y, mollifier: Mollifier, n_alpha: int = 16):
 def _grad_kernels(x, y, mollifier: Mollifier, n_alpha: int):
     """dN and aux of the catalogue, each (..., i, m), from one psi / grad psi
     pass over the same nodes."""
-    x, y, single = _as_batch(x, y)
-    d, (i0, jm, km) = _line_integrals(
-        x, y, mollifier, n_alpha,
+    x, y, d, single = _as_batch(x, y)
+    i0, jm, km = _line_integrals(
+        y, d, 1.0, mollifier, n_alpha,
         [lambda a: a * (a - 1.0)],
         [lambda a: a * a * (a - 1.0), lambda a: a * (a - 1.0)],
     )
@@ -228,56 +235,29 @@ def kernel_aux(x, y, mollifier: Mollifier, n_alpha: int = 16):
 
 
 def kernel_N_form(x, y, mollifier: Mollifier, form: str = "alpha", n: int = 16):
-    """N(x, y) through one of three equivalent line parameterizations.
+    """N(x, y) through one of three equivalent line parameterizations;
+    vectorized over rows of y, with x either one point or one point per row.
 
     alpha: the defining form (segment parameter alpha >= 1)
     xi:    arc length from y, xi = alpha |d|, weight xi (xi - |d|) / |d|^3
     r:     arc length beyond x, r = xi - |d|, weight r (r + |d|) / |d|^3,
            bump evaluated at x + r u
 
-    Each form solves its own support interval.  The substitutions are affine,
-    so all three agree to rounding at equal node counts.
+    The substitutions are affine, so all three agree to rounding at equal
+    node counts.
     """
-    x, y, single = _as_batch(x, y)
-    if form == "alpha":
-        out = kernel_N(x, y, mollifier, n)
-        return out[0] if single else out
-    d = x[None, :] - y
+    x, y, d, single = _as_batch(x, y)
     dn = np.linalg.norm(d, axis=-1)
-    if np.any(dn < _MIN_SEP):
-        raise ValueError("kernel evaluated too close to the singular point x = y")
     u = d / dn[:, None]
-    r_psi = mollifier.support_radius
-    if form == "xi":
-        # |y + xi u| < r_psi, xi >= |d|
-        b = np.einsum("ni,ni->n", y, u)
-        c = np.einsum("ni,ni->n", y, y) - r_psi * r_psi
-        base = y
-        floor = dn
-        weight = lambda s, dnn: s * (s - dnn[:, None])
-    elif form == "r":
-        # |x + r u| < r_psi, r >= 0
-        b = u @ x
-        c = float(x @ x) - r_psi * r_psi
-        base = np.broadcast_to(x, y.shape)
-        floor = np.zeros_like(dn)
-        weight = lambda s, dnn: s * (s + dnn[:, None])
-    else:
+    # (base, direction, floor, weight, divisor of the integral)
+    forms = {"alpha": (y, d, 1.0, lambda a: a * (a - 1.0), 1.0),
+             "xi": (y, u, dn, lambda s: s * (s - dn[:, None]), dn**3),
+             "r": (x, u, 0.0, lambda s: s * (s + dn[:, None]), dn**3)}
+    if form not in forms:
         raise ValueError(f"unknown kernel form {form!r}")
-    disc = b * b - c
-    pos = disc > 0.0
-    sq = np.sqrt(np.where(pos, disc, 0.0))
-    root_lo = -b - sq
-    hi = -b + sq
-    lo = np.maximum(floor, root_lo)
-    empty = ~pos | (hi <= lo)
-    clipped = root_lo < floor
-    s, w = _panel_nodes(lo, hi, empty, clipped, n)
-    w = np.where(empty[..., None], 0.0, w)
-    pts = base[:, None, :] + s[..., None] * u[:, None, :]
-    vals = mollifier.psi(pts) * weight(s, dn)
-    integral = np.einsum("np,np->n", w, vals)
-    out = d * (integral / dn**3)[:, None]
+    base, direction, floor, weight, divisor = forms[form]
+    (integral,) = _line_integrals(base, direction, floor, mollifier, n, [weight])
+    out = d * (integral / divisor)[:, None]
     return out[0] if single else out
 
 

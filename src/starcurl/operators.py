@@ -9,7 +9,10 @@ values,
 built from the line-integral kernel N of the mollifier.  Because every ray
 in the kernel construction points away from the domain when x is outside,
 Rg vanishes identically there, and it tends to zero at the boundary from
-inside.
+inside.  R, its truncation and B integrate the zero-extended field through
+one call, _zero_extended: it returns that exact zero outside the domain and
+otherwise makes the one polar quadrature over the domain's panels, so each
+operator supplies only its integrand(x, y).
 
 The reproduction identity certified by this package is
 
@@ -86,23 +89,26 @@ def _as_point(x):
     return x
 
 
-def curl_inverse(op: CurlInverseOp, g, x) -> np.ndarray:
-    """Vector potential (Rg)(x) = int g(y) x N(x,y) dy over the domain.
-
-    Points outside the domain short-circuit to (0,0,0); that is the exact
-    value, not an approximation, and it skips the quadrature entirely.
-    """
+def _zero_extended(op: CurlInverseOp, x, integrand, extra_breaks=()):
+    """int_Omega integrand(x, y) dy for a kernel integrand that vanishes
+    wherever the field's zero extension does.  Points outside the domain
+    short-circuit to (0,0,0); that is the exact value, not an
+    approximation, and it skips the quadrature entirely."""
     x = _as_point(x)
     if not bool(contains(op.domain, x)):
         return np.zeros(3)
-    mol, n_alpha = op.mollifier, op.quad.n_alpha
-
-    def f(y):
-        return np.cross(g(y), kernel_N(x, y, mol, n_alpha))
-
-    return integrate_ball_singular(f, x, op.domain, op.quad,
-                                   support_radius=mol.support_radius,
+    return integrate_ball_singular(lambda y: integrand(x, y), x, op.domain,
+                                   op.quad, extra_breaks=extra_breaks,
+                                   support_radius=op.mollifier.support_radius,
                                    zero_outside_domain=True)
+
+
+def curl_inverse(op: CurlInverseOp, g, x) -> np.ndarray:
+    """Vector potential (Rg)(x) = int g(y) x N(x,y) dy over the domain;
+    exactly zero outside it."""
+    mol, n_alpha = op.mollifier, op.quad.n_alpha
+    return _zero_extended(op, x, lambda x, y: np.cross(
+        g(y), kernel_N(x, y, mol, n_alpha)))
 
 
 def curl_inverse_eps(op: CurlInverseOp, g, x, eps: float) -> np.ndarray:
@@ -112,20 +118,14 @@ def curl_inverse_eps(op: CurlInverseOp, g, x, eps: float) -> np.ndarray:
     as radial break points."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    x = _as_point(x)
-    if not bool(contains(op.domain, x)):
-        return np.zeros(3)
     mol, n_alpha = op.mollifier, op.quad.n_alpha
 
-    def f(y):
+    def f(x, y):
         r = np.linalg.norm(y - x, axis=-1)
         cut = eta(r / eps)
         return cut[:, None] * np.cross(g(y), kernel_N(x, y, mol, n_alpha))
 
-    return integrate_ball_singular(f, x, op.domain, op.quad,
-                                   extra_breaks=(eps, 2.0 * eps),
-                                   support_radius=mol.support_radius,
-                                   zero_outside_domain=True)
+    return _zero_extended(op, x, f, extra_breaks=(eps, 2.0 * eps))
 
 
 def domain_integral(op: CurlInverseOp, F, x=None) -> float:
@@ -142,9 +142,6 @@ def bogovskii(op: CurlInverseOp, F, x) -> np.ndarray:
     the domain and BF vanishes on the boundary, provided F has zero mean.
     The formula itself is evaluable for any F, so a nonzero mean only emits
     a warning; the div identity is what breaks, not the integral."""
-    x = _as_point(x)
-    if not bool(contains(op.domain, x)):
-        return np.zeros(3)
     mean = domain_integral(op, F)
     sup = float(np.max(np.abs(F(_probe_points(op.domain)))))
     vol = 4.0 / 3.0 * np.pi * op.domain.inradius ** 3   # lower bound is enough
@@ -153,13 +150,8 @@ def bogovskii(op: CurlInverseOp, F, x) -> np.ndarray:
                       f"mean {mean:.3e}; div(BF) = F will not hold",
                       stacklevel=2)
     mol, n_alpha = op.mollifier, op.quad.n_alpha
-
-    def f(y):
-        return np.asarray(F(y))[:, None] * kernel_N_tilde(x, y, mol, n_alpha)
-
-    return integrate_ball_singular(f, x, op.domain, op.quad,
-                                   support_radius=mol.support_radius,
-                                   zero_outside_domain=True)
+    return _zero_extended(op, x, lambda x, y: np.asarray(F(y))[:, None]
+                          * kernel_N_tilde(x, y, mol, n_alpha))
 
 
 def _probe_points(domain: StarDomain, n: int = 64):

@@ -75,9 +75,9 @@ class QuadratureConfig:
         for name in ("n_alpha", "n_rho", "sphere_nodes", "n_surface"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be at least 2")
-        if not self.r_factor > 1.0:
-            raise ValueError("r_factor must exceed 1 so that the closure of the "
-                             "domain lies inside B_R")
+        if not 1.0 < self.r_factor < math.inf:
+            raise ValueError("r_factor must be finite and exceed 1 so that the "
+                             "closure of the domain lies inside B_R")
 
 
 @dataclass(frozen=True)

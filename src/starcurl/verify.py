@@ -23,10 +23,9 @@ from .fields import ModulusTable, VectorField
 from .geometry import (boundary_distance, contains, radial_gap,
                        sample_directions)
 from .kernels import LEVI_CIVITA, kernel_N_form
-from .operators import (CurlInverseOp, bogovskii, curl_inverse,
-                        curl_inverse_eps, curl_of_curl_inverse,
+from .operators import (CurlInverseOp, _zero_extended, bogovskii,
+                        curl_inverse, curl_inverse_eps, curl_of_curl_inverse,
                         grad_curl_inverse)
-from .quadrature import integrate_ball_singular
 
 __all__ = [
     "CheckRow",
@@ -325,17 +324,9 @@ _KERNEL_FORMS = ("alpha", "xi", "r")
 def _curl_inverse_form(op: CurlInverseOp, g, x, form: str) -> np.ndarray:
     """The potential evaluated through one of the three equivalent
     parameterizations of the kernel's line integral."""
-    x = np.asarray(x, dtype=float)
-    if not bool(contains(op.domain, x)):
-        return np.zeros(3)
     mol, n_alpha = op.mollifier, op.quad.n_alpha
-
-    def f(y):
-        return np.cross(g(y), kernel_N_form(x, y, mol, form, n_alpha))
-
-    return integrate_ball_singular(f, x, op.domain, op.quad,
-                                   support_radius=mol.support_radius,
-                                   zero_outside_domain=True)
+    return _zero_extended(op, x, lambda x, y: np.cross(
+        g(y), kernel_N_form(x, y, mol, form, n_alpha)))
 
 
 def forms_check(op: CurlInverseOp, g, points, tol: float = 1e-6) -> CheckReport:

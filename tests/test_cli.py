@@ -123,6 +123,16 @@ def test_bad_specs_exit_2(tmp_path):
     ("solve", "--grid.spacing", "nan,1,1"),
     ("eps-study", "--point", "0.3,0"),
     ("eps-study", "--point", "0.3,0,nan"),
+    ("curl-check", "--n-points", "1", "--tol", "nan"),
+    ("curl-check", "--n-points", "1", "--tol", "-1"),
+    ("grad-check", "--h", "0"),
+    ("grad-check", "--h", "nan"),
+    ("eps-study", "--eps", "0.4,-0.2"),
+    ("eps-study", "--eps", "0.1,0.2"),
+    ("curl-check", "--seed", "-1"),
+    ("grad-check", "--n-points", "1", "--quad.r_factor", "inf"),
+    ("curl-check", "--n-points", "1", "--margin", "nan"),
+    ("curl-check", "--n-points", "1", "--margin", "-5"),
 ], ids=" ".join)
 def test_bad_counts_exit_2(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 2

@@ -9,6 +9,7 @@ from starcurl.geometry import (
     contains,
     ellipsoid,
     parse_domain,
+    radial,
     radial_from_function,
     radial_gap,
     ray_segments,
@@ -187,6 +188,13 @@ def test_radial_table_file_round_trip(tmp_path):
     assert np.allclose(back.table[2], dom.table[2], rtol=0.0, atol=0.0)
     via_spec = parse_domain(f"radial:file={path}")
     assert np.allclose(via_spec.table[2], dom.table[2])
+    # the file holds only the grid sizes, so another grid cannot be stored
+    odd = radial(np.linspace(0.99, -0.99, 8),
+                 2.0 * np.pi * np.arange(16) / 16, np.full((8, 16), 1.5))
+    other = tmp_path / "odd.csv"
+    with pytest.raises(ValueError, match="standard"):
+        save_radial_table(odd, str(other))
+    assert not other.exists()
 
 
 def test_sample_interior_margin(rng):

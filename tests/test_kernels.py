@@ -248,10 +248,12 @@ def test_aux_volume_integral_pinned():
 
 def test_batched_x_matches_single_pairs(rng):
     # kernel_bound_check evaluates one x per row of y; each row must equal
-    # the single-pair call bit for bit
+    # the single-pair call bit for bit, in every parameterization of N
     xs = 0.5 * sample_interior(ball(2.0), 60, rng)
     ys = xs + rng.uniform(0.05, 1.5, (60, 1)) * sample_directions(60, rng)
-    for kernel in (kernel_N, grad_kernel_N):
+    forms = [lambda x, y, mol, f=f: kernel_N_form(x, y, mol, f)
+             for f in ("alpha", "xi", "r")]
+    for kernel in (kernel_N, grad_kernel_N, *forms):
         batch = kernel(xs, ys, MOL)
         single = np.stack([kernel(x, y, MOL) for x, y in zip(xs, ys)])
         assert batch.shape == single.shape

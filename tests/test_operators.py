@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from starcurl.fields import VectorField, registry_get
-from starcurl.geometry import (ball, boundary_distance, ellipsoid,
+from starcurl.geometry import (ball, boundary_distance, ellipsoid, parse_domain,
                                radial_from_function, ray_segments)
 from starcurl.operators import (
     CurlInverseOp,
@@ -348,3 +348,65 @@ def test_potential_on_table_matches_exact_ellipsoid():
     want = curl_inverse(CurlInverseOp(exact), g, x)
     got = curl_inverse(CurlInverseOp(table), g, x)
     assert rel(got, want) <= 1e-2
+
+
+# nonsol at the panel point below, default budget: R, R^eps (eps = 0.1),
+# B[div g], gradR and T per domain, and R on the 32 x 64 table of
+# ellipsoid(2, 2.5, 3).  A change that moves any of them by more than 1e-13
+# relative (each array against its own max magnitude) alters the numbers at
+# equal budget and has to say why.
+PANEL_X = np.array([0.9, -0.4, 0.6])
+PANEL_PINS = {
+    "ball:r0=2": {
+        "R": [0.0, 0.5442058009363929, 0.3628038672909286],
+        "Re": [0.0, 0.4810352054350392, 0.32069013695669274],
+        "B": [-0.33328515715736384, 0.176193995725019, -0.2642909935875288],
+        "gradR": [[-0.0, -0.0, -0.0],
+                  [-0.883432055547761, 0.508349996797143, 0.14448315675672113],
+                  [-0.5889547036985066, -0.568108154087674, -0.5083499967971433]],
+        "T": [-1.829204002934575, 0.7651496515199292, -1.1477244772798936],
+    },
+    "ellipsoid:a=2,b=2.5,c=3": {
+        "R": [0.0, 0.8067925657982848, 0.5236913849833567],
+        "Re": [0.0, 0.7436219702969312, 0.4815776546491219],
+        "B": [-0.31402699553867497, 0.1930065294173291, -0.28641563878290055],
+        "gradR": [[-0.0, -0.0, -0.0],
+                  [-1.6797464554480446, 0.5898058446005326, 0.7113405480775602],
+                  [-1.056694386056285, -0.9350808518374063, -0.40142979686614066]],
+        "T": [-2.743778107751242, 1.2497031216779582, -1.9661666917302159],
+    },
+    "box:h=1.5,1.5,1.5": {
+        "R": [0.0, 0.5677104552307685, 0.3877991766508063],
+        "Re": [0.0, 0.5045398597294147, 0.3456854463165706],
+        "B": [-0.3568068409908011, 0.19723149762301267, -0.29013674728447325],
+        "gradR": [[-0.0, -0.0, -0.0],
+                  [-1.5522625616942538, 0.023305555873870898, 0.5926944872931602],
+                  [-1.161231620396579, -0.9322767100207081, -0.1833647828085952]],
+        "T": [-2.588301815804507, 1.3992541038996205, -1.757315077776397],
+    },
+    "table": {
+        "R": [0.0, 0.8083736116337366, 0.5246102594427545],
+    },
+}
+_PANEL_OPS = {
+    "R": curl_inverse,
+    "Re": lambda op, g, x: curl_inverse_eps(op, g, x, 0.1),
+    "B": lambda op, g, x: bogovskii(op, g.div, x),
+    "gradR": grad_curl_inverse,
+    "T": boundary_flux_term,
+}
+
+
+@pytest.mark.filterwarnings("ignore:field passed to the divergence inverse")
+@pytest.mark.parametrize("spec", list(PANEL_PINS))
+def test_panel_values_pinned_at_equal_budget(spec):
+    if spec == "table":
+        exact = ellipsoid(2.0, 2.5, 3.0)
+        dom = radial_from_function(lambda u: boundary_distance(exact, u))
+    else:
+        dom = parse_domain(spec)
+    op = CurlInverseOp(dom)
+    g = registry_get("nonsol")
+    for name, want in PANEL_PINS[spec].items():
+        got = _PANEL_OPS[name](op, g, PANEL_X)
+        assert rel(got, np.array(want)) <= 1e-13, name
