@@ -19,13 +19,12 @@ from .geometry import (StarDomain, ball, box, contains, ellipsoid,
 from .kernels import grad_kernel_N, kernel_N, kernel_N_form, kernel_N_tilde
 from .operators import (CurlInverseOp, FieldSampleGrid, bogovskii,
                         boundary_flux_term, curl_inverse, curl_inverse_eps,
-                        curl_of_curl_inverse, eval_grid, grad_curl_inverse,
-                        residual_identity)
+                        curl_of_curl_inverse, eval_grid, grad_curl_inverse)
 from .quadrature import QuadratureConfig
 from .smoothing import Mollifier
-from .verify import (CheckReport, boundary_check, curl_check, div_check,
-                     eps_study, fd_curl, fd_div, fd_jacobian, forms_check,
-                     grad_check)
+from .verify import (CheckReport, boundary_check, curl_check, curl_reference,
+                     div_check, eps_study, fd_curl, fd_div, fd_jacobian,
+                     forms_check, grad_check)
 
 __version__ = "0.1.0"
 
@@ -38,9 +37,8 @@ __all__ = [
     "modulus_of_continuity", "dini_integral",
     "kernel_N", "kernel_N_tilde", "grad_kernel_N", "kernel_N_form",
     "curl_inverse", "curl_inverse_eps", "bogovskii", "grad_curl_inverse",
-    "curl_of_curl_inverse", "residual_identity", "boundary_flux_term",
-    "eval_grid",
-    "fd_jacobian", "fd_curl", "fd_div", "curl_check", "grad_check",
-    "div_check", "boundary_check", "eps_study", "forms_check",
+    "curl_of_curl_inverse", "boundary_flux_term", "eval_grid",
+    "fd_jacobian", "fd_curl", "fd_div", "curl_reference", "curl_check",
+    "grad_check", "div_check", "boundary_check", "eps_study", "forms_check",
     "__version__",
 ]

@@ -5,8 +5,8 @@ and the effective configuration is dumped next to the outputs so any run
 can be reproduced from its artifacts alone.  Reports land as CSV with a
 one-line summary on stdout.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 bad configuration,
-3 I/O failure.
+Exit codes: 0 all checks passed, 1 a check failed, 2 bad configuration
+(including a check that the domain cannot run), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -404,7 +404,7 @@ def main(argv=None) -> int:
         return 3
     try:
         return _run(cfg, ns.command)
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, NotImplementedError) as e:
         print(f"bad configuration: {e}", file=sys.stderr)
         return 2
     except OSError as e:

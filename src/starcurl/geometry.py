@@ -126,6 +126,7 @@ def radial(cos_theta: np.ndarray, phi: np.ndarray, rvals: np.ndarray) -> StarDom
     ct = np.asarray(cos_theta, dtype=float)
     ph = np.asarray(phi, dtype=float)
     rv = np.asarray(rvals, dtype=float)
+    _check_grid(ct.size, ph.size)
     if rv.shape != (ct.size, ph.size):
         raise ValueError("radius table shape does not match the angular grid")
     if np.any(np.diff(ct) >= 0):
@@ -135,10 +136,18 @@ def radial(cos_theta: np.ndarray, phi: np.ndarray, rvals: np.ndarray) -> StarDom
     return StarDomain("radial", table=(ct, ph, rv))
 
 
+def _check_grid(n_polar: int, n_azimuth: int) -> None:
+    """Interpolation in theta needs a pair of rows, in phi one column."""
+    if n_polar < 2 or n_azimuth < 1:
+        raise ValueError(f"radial table grid {n_polar} x {n_azimuth} needs at "
+                         "least 2 cos(theta) rows and 1 phi column")
+
+
 def _standard_grid(n_polar: int, n_azimuth: int):
     """The angular grid of tabulated and stored radial tables: Gauss-Legendre
     rows in cos(theta), descending (north pole first), and uniform phi
     columns from 0."""
+    _check_grid(n_polar, n_azimuth)
     ct, _ = np.polynomial.legendre.leggauss(n_polar)
     return ct[::-1], 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
 
@@ -224,13 +233,13 @@ def load_radial_table(path: str) -> StarDomain:
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
         n_polar, n_azimuth = (int(t) for t in header.strip().split(","))
+        grid = _standard_grid(n_polar, n_azimuth)
         vals = np.loadtxt(fh, dtype=float, ndmin=1)
     if vals.size != n_polar * n_azimuth:
         raise ValueError(
             f"radial table holds {vals.size} values, expected {n_polar * n_azimuth}"
         )
-    return radial(*_standard_grid(n_polar, n_azimuth),
-                  vals.reshape(n_polar, n_azimuth))
+    return radial(*grid, vals.reshape(n_polar, n_azimuth))
 
 
 def save_radial_table(dom: StarDomain, path: str) -> None:

@@ -1,5 +1,6 @@
 """The integral operators: curl inverse R, its smooth truncation, the
-divergence inverse B, the analytic gradient of R, and diagnostic identities.
+divergence inverse B, the analytic gradient of R, and the boundary flux
+term T.
 
 R produces a vector potential of a solenoidal field with zero boundary
 values,
@@ -22,19 +23,17 @@ where B is the divergence inverse and T integrates the normal flux of g
 over the boundary against B's kernel.  Both correction terms vanish exactly
 when g is solenoidal and tangent to the boundary (in particular when g is
 compactly supported inside the domain), and then curl(Rg) = g.  See
-boundary_flux_term for T, and residual_identity for the diagnostic
-curl(Rg) - g + B[div g], which leaves exactly the flux term.
+boundary_flux_term for T; verify.curl_reference assembles the right-hand
+side and verify.curl_check certifies the identity.
 """
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import VectorField
 from .geometry import StarDomain, ball, contains, radial_gap
 from .kernels import LEVI_CIVITA, _grad_kernels, kernel_N, kernel_N_tilde
 from .quadrature import (QuadratureConfig, ball_radius, boundary_quadrature,
@@ -54,7 +53,6 @@ __all__ = [
     "domain_integral",
     "grad_curl_inverse",
     "curl_of_curl_inverse",
-    "residual_identity",
     "boundary_flux_term",
     "eval_grid",
 ]
@@ -129,8 +127,8 @@ def curl_inverse_eps(op: CurlInverseOp, g, x, eps: float) -> np.ndarray:
 
 
 def domain_integral(op: CurlInverseOp, F, x=None) -> float:
-    """Integral of a scalar field over the domain (zero-extended).  Used for
-    the mean-zero diagnostic of the divergence inverse; the polar center
+    """Integral of a scalar field over the domain (zero-extended), e.g. the
+    mean that the divergence inverse needs to vanish; the polar center
     defaults to the origin."""
     x = np.zeros(3) if x is None else _as_point(x)
     return float(integrate_ball_singular(F, x, op.domain, op.quad,
@@ -140,25 +138,11 @@ def domain_integral(op: CurlInverseOp, F, x=None) -> float:
 def bogovskii(op: CurlInverseOp, F, x) -> np.ndarray:
     """Divergence inverse (BF)(x) = int F(y) Ntilde(x,y) dy: div(BF) = F in
     the domain and BF vanishes on the boundary, provided F has zero mean.
-    The formula itself is evaluable for any F, so a nonzero mean only emits
-    a warning; the div identity is what breaks, not the integral."""
-    mean = domain_integral(op, F)
-    sup = float(np.max(np.abs(F(_probe_points(op.domain)))))
-    vol = 4.0 / 3.0 * np.pi * op.domain.inradius ** 3   # lower bound is enough
-    if abs(mean) > 1e-6 * max(sup, 1e-300) * vol:
-        warnings.warn("field passed to the divergence inverse has nonzero "
-                      f"mean {mean:.3e}; div(BF) = F will not hold",
-                      stacklevel=2)
+    The formula itself is evaluable for any F; verify.div_check reports
+    the mean next to the identity it conditions."""
     mol, n_alpha = op.mollifier, op.quad.n_alpha
     return _zero_extended(op, x, lambda x, y: np.asarray(F(y))[:, None]
                           * kernel_N_tilde(x, y, mol, n_alpha))
-
-
-def _probe_points(domain: StarDomain, n: int = 64):
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(-1.0, 1.0, (4 * n, 3)) * domain.circumradius
-    pts = pts[contains(domain, pts)][:n]
-    return pts if len(pts) else np.zeros((1, 3))
 
 
 def _t3_surface(op: CurlInverseOp, x) -> np.ndarray:
@@ -206,23 +190,6 @@ def curl_of_curl_inverse(op: CurlInverseOp, g, x) -> np.ndarray:
     return np.einsum("ilm,ml->i", LEVI_CIVITA, G)
 
 
-def residual_identity(op: CurlInverseOp, g: VectorField, x) -> np.ndarray:
-    """Diagnostic residual curl(Rg) - g + B[div g] at x.
-
-    By the reproduction identity in the module docstring this is exactly
-    the boundary flux term T[g . nu](x), up to quadrature error, for any
-    field with a closed-form divergence.  It therefore vanishes when g is
-    tangent to the boundary, whatever its divergence, and is otherwise the
-    part of curl(Rg) - g that the divergence correction cannot remove;
-    compare it with boundary_flux_term to close the decomposition.
-    """
-    if not isinstance(g, VectorField) or g.div is None:
-        raise ValueError("residual needs a field with a closed-form divergence")
-    x = _as_point(x)
-    return (curl_of_curl_inverse(op, g, x) - np.asarray(g(x))
-            + bogovskii(op, g.div, x))
-
-
 def boundary_flux_term(op: CurlInverseOp, g, x) -> np.ndarray:
     """The boundary correction T[g . nu](x): the normal flux of g through
     the domain boundary, integrated against the divergence-inverse kernel.
@@ -236,8 +203,7 @@ def boundary_flux_term(op: CurlInverseOp, g, x) -> np.ndarray:
     mol, n_alpha = op.mollifier, op.quad.n_alpha
     y, w, nu = boundary_quadrature(op.domain, op.quad.n_surface,
                                    x=x, support_radius=mol.support_radius)
-    ev = g.eval if isinstance(g, VectorField) else g
-    flux = np.einsum("ij,ij->i", np.asarray(ev(y)), nu)
+    flux = np.einsum("ij,ij->i", np.asarray(g(y)), nu)
     vals = flux[:, None] * kernel_N_tilde(x, y, mol, n_alpha)
     return np.tensordot(w, vals, axes=1)
 

@@ -334,5 +334,5 @@ def boundary_quadrature(domain: StarDomain, n: int, x=None, support_radius=None)
                 ws.append(wij)
                 nus.append(nu)
         return np.concatenate(pts), np.concatenate(ws), np.concatenate(nus)
-    raise NotImplementedError("surface quadrature for tabulated radial shapes "
-                              "is not provided")
+    raise NotImplementedError("no surface rule, and so no flux term T[g . nu], "
+                              "for tabulated radial shapes")

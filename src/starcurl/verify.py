@@ -6,6 +6,10 @@ sweeps) and compare against closed-form references.  Every driver returns a
 CheckReport whose rows can be serialized to CSV; pass/fail is always
 ``worst error <= tolerance`` in the report's metric.
 
+curl_check certifies curl(Rg) = g - B[div g] + T[g . nu], whose right-hand
+side curl_reference builds; div_check certifies div(BF) = F and reports the
+mean of F, which that identity needs to vanish.
+
 Margins follow the package convention: "distance to the boundary" means the
 radial clearance along the ray from the origin (see geometry.radial_gap).
 Derivative checks stay away from the boundary because the gradient's
@@ -15,7 +19,7 @@ own driver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +28,8 @@ from .geometry import (boundary_distance, contains, radial_gap,
                        sample_directions)
 from .kernels import LEVI_CIVITA, kernel_N_form
 from .operators import (CurlInverseOp, _zero_extended, bogovskii,
-                        curl_inverse, curl_inverse_eps, curl_of_curl_inverse,
+                        boundary_flux_term, curl_inverse, curl_inverse_eps,
+                        curl_of_curl_inverse, domain_integral,
                         grad_curl_inverse)
 
 __all__ = [
@@ -34,6 +39,7 @@ __all__ = [
     "fd_jacobian",
     "fd_curl",
     "fd_div",
+    "curl_reference",
     "curl_check",
     "grad_check",
     "div_check",
@@ -145,17 +151,28 @@ def _interior_points(op, points, margin, what):
     return pts
 
 
-def curl_check(op: CurlInverseOp, g, points, h: float | None = None,
-               tol: float = 1e-3) -> CheckReport:
-    """Certify curl(Rg) = g at interior points via two independent routes:
-    finite differences of the potential, and the analytic gradient's
-    antisymmetric contraction.  Both are compared to g componentwise."""
+def curl_reference(op: CurlInverseOp, g: VectorField, x) -> np.ndarray:
+    """The right-hand side g(x) - B[div g](x) + T[g . nu](x) of the
+    reproduction identity for curl(Rg).  B needs the field's closed-form
+    divergence, and T a surface rule for the domain."""
+    if not isinstance(g, VectorField) or g.div is None:
+        raise ValueError("the curl reference g - B[div g] + T[g . nu] needs a "
+                         "field with a closed-form divergence")
+    flux = boundary_flux_term(op, g, x)     # first: the term a domain may lack
+    return np.asarray(g(x), dtype=float) - bogovskii(op, g.div, x) + flux
+
+
+def curl_check(op: CurlInverseOp, g: VectorField, points,
+               h: float | None = None, tol: float = 1e-3) -> CheckReport:
+    """Certify curl(Rg) = g - B[div g] + T[g . nu] at interior points via
+    two independent routes to the curl: finite differences of the
+    potential, and the analytic gradient's antisymmetric contraction.  Both
+    are compared componentwise with curl_reference, in absolute error."""
     h = 1e-3 * op.domain.diameter if h is None else float(h)
     pts = _interior_points(op, points, max(h, 1e-3), "curl_check")
-    gv = g.eval if isinstance(g, VectorField) else g
     rows = []
     for x in pts:
-        ref = np.asarray(gv(x), dtype=float)
+        ref = curl_reference(op, g, x)
         c_fd = fd_curl(lambda p: curl_inverse(op, g, p), x, h)
         c_an = curl_of_curl_inverse(op, g, x)
         scale = max(float(np.max(np.abs(ref))), 1e-300)
@@ -189,7 +206,9 @@ def div_check(op: CurlInverseOp, F, points, h: float | None = None,
     """Certify div(BF) = F: finite-difference divergence of the divergence
     inverse against F itself, relative to the scale max |F| over the point
     set (F may pass through zero, so componentwise relative error would be
-    meaningless)."""
+    meaningless).  The identity needs F to have zero mean, so a last,
+    informational row carries int_Omega F against 0, relative to the same
+    scale; it never fails."""
     h = 1e-3 * op.domain.diameter if h is None else float(h)
     pts = _interior_points(op, points, max(h, 1e-3), "div_check")
     refs = np.array([float(F(x)) for x in pts])
@@ -198,7 +217,11 @@ def div_check(op: CurlInverseOp, F, points, h: float | None = None,
     for x, ref in zip(pts, refs):
         d = fd_div(lambda p: bogovskii(op, F, p), x, h)
         rows.append(_row("div_check", x, "div", d, ref, tol, "rel", scale=scale))
-    return _report("div_check", rows, tol, "rel")
+    rep = _report("div_check", rows, tol, "rel")
+    mean = domain_integral(op, F)
+    mean_row = CheckRow("div_check", (float("nan"),) * 3, "domain_integral",
+                        mean, 0.0, abs(mean), abs(mean) / scale, True)
+    return replace(rep, rows=rep.rows + (mean_row,))
 
 
 def boundary_check(op: CurlInverseOp, g, n_points: int = 100,

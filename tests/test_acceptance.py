@@ -9,16 +9,15 @@ operators satisfy,
 not the plain curl(Rg) = g: a potential that vanishes on the boundary has
 a curl with zero normal component there, so for a field with normal flux
 (constant, trig, abc, hoelder and nonsol on the ball of radius 2) the flux
-term T is present and of order one.  For the solenoidal fields the B term
-is zero and the reference is g + T[g . nu]; only fields that are
-solenoidal and tangent to the boundary, or compactly supported inside it,
-are checked against g alone.
+term T is present and of order one.  verify.curl_reference builds the
+right-hand side, and curl_check compares both of its curl routes with it;
+for fields that are solenoidal and tangent to the boundary, or compactly
+supported inside it, the reference is g alone.
 """
 
 import time
 
 import numpy as np
-import pytest
 
 from starcurl.cli import main
 from starcurl.fields import (
@@ -32,20 +31,17 @@ from starcurl.geometry import ball, boundary_distance, sample_directions, \
 from starcurl.kernels import grad_kernel_N, kernel_N, kernel_bound_check
 from starcurl.operators import (
     CurlInverseOp,
-    bogovskii,
-    boundary_flux_term,
     curl_inverse,
     curl_of_curl_inverse,
-    residual_identity,
 )
 from starcurl.quadrature import QuadratureConfig
 from starcurl.smoothing import Mollifier
 from starcurl.verify import (
     boundary_check,
     curl_check,
+    curl_reference,
     div_check,
     eps_study,
-    fd_curl,
     forms_check,
     grad_check,
 )
@@ -61,23 +57,6 @@ def sup_norm(g, n=4000, seed=123):
 
 def interior_points(n, seed, margin=0.1):
     return sample_interior(DOM, n, np.random.default_rng(seed), margin=margin)
-
-
-def flux_corrected_curl_errors(op, g, pts):
-    """Worst componentwise error of curl_check's two routes to curl(Rg) --
-    central differences of the potential at curl_check's default step, and
-    the analytic Jacobian's antisymmetric contraction -- against
-    g + T[g . nu].  The B[div g] term is left out, so g must be
-    solenoidal."""
-    h = 1e-3 * op.domain.diameter
-    worst = {"fd": 0.0, "an": 0.0}
-    for x in pts:
-        ref = np.asarray(g.eval(x)) + boundary_flux_term(op, g, x)
-        routes = {"fd": fd_curl(lambda p: curl_inverse(op, g, p), x, h),
-                  "an": curl_of_curl_inverse(op, g, x)}
-        for route, c in routes.items():
-            worst[route] = max(worst[route], float(np.max(np.abs(c - ref))))
-    return worst
 
 
 def test_potential_vanishes_outside_and_decays_at_boundary(op):
@@ -102,15 +81,13 @@ def test_curl_reproduces_smooth_fields_at_default_budget(op):
     # all four fields are solenoidal; constant, trig and abc push flux
     # through the boundary, rigid is tangent to it and has T = 0
     pts = interior_points(20, seed=7)
-    errors = {}
+    reports = {}
     for name in SMOOTH_FIELDS:
         g = registry_get(name)
-        tol = 1e-3 * (1.0 + sup_norm(g))
-        errors[name] = (flux_corrected_curl_errors(op, g, pts), tol)
-    msg = "; ".join(f"{n}: fd={e['fd']:.3e} an={e['an']:.3e} tol={tol:.1e}"
-                    for n, (e, tol) in errors.items())
+        reports[name] = curl_check(op, g, pts, tol=1e-3 * (1.0 + sup_norm(g)))
+    msg = "; ".join(f"{n}: {r.summary()}" for n, r in reports.items())
     assert time.monotonic() - t0 < 600.0
-    assert all(max(e.values()) <= tol for e, tol in errors.values()), msg
+    assert all(r.passed for r in reports.values()), msg
 
 
 def test_curl_reproduces_hoelder_field_at_relaxed_tolerance():
@@ -127,10 +104,8 @@ def test_curl_reproduces_hoelder_field_at_relaxed_tolerance():
     pts = interior_points(200, seed=5)
     pts = pts[np.min(np.abs(pts), axis=1) >= 1e-2][:20]
     assert len(pts) == 20
-    errors = flux_corrected_curl_errors(hoelder_op, registry_get("hoelder"),
-                                        pts)
-    assert max(errors.values()) <= 5e-2, \
-        f"fd={errors['fd']:.3e} an={errors['an']:.3e} tol=5.0e-02"
+    rep = curl_check(hoelder_op, registry_get("hoelder"), pts, tol=5e-2)
+    assert rep.passed, rep.summary()
 
 
 def test_analytic_jacobian_matches_finite_differences(op):
@@ -155,15 +130,14 @@ def test_divergence_inverse_recovers_sources(op):
         assert rep.passed, f"{label}: {rep.summary()}"
 
 
-@pytest.mark.filterwarnings("ignore:field passed to the divergence inverse")
 def test_residual_after_divergence_correction_is_small(op):
     # after the B[div g] correction what remains of curl(Rg) - g is the flux
     # term; nonsol has normal flux y1 sin(y1) / 2 on the sphere, so the
     # residual is compared with T[g . nu] rather than with zero
     g = registry_get("nonsol")
     pts = interior_points(10, seed=13)
-    worst = max(float(np.max(np.abs(residual_identity(op, g, x)
-                                    - boundary_flux_term(op, g, x))))
+    worst = max(float(np.max(np.abs(curl_of_curl_inverse(op, g, x)
+                                    - curl_reference(op, g, x))))
                 for x in pts)
     assert worst <= 5e-3, f"max |residual - T| component {worst:.3e} > 5e-3"
 
@@ -270,15 +244,13 @@ def test_reruns_are_byte_identical_and_potential_is_linear(op, tmp_path):
 # curl(Rg) = g is checked only where both corrections vanish.
 
 
-@pytest.mark.filterwarnings("ignore:field passed to the divergence inverse")
 def test_reproduction_closes_with_boundary_flux_term(op):
     pts = interior_points(2, seed=21)
     for name in ("constant", "trig", "abc", "nonsol"):
         g = registry_get(name)
         for x in pts:
-            err = np.max(np.abs(
-                curl_of_curl_inverse(op, g, x) - np.asarray(g.eval(x))
-                + bogovskii(op, g.div, x) - boundary_flux_term(op, g, x)))
+            err = np.max(np.abs(curl_of_curl_inverse(op, g, x)
+                                - curl_reference(op, g, x)))
             assert err <= 5e-3, f"{name} at {x}: {err:.3e}"
 
 

@@ -99,10 +99,19 @@ def test_config_file_must_exist(tmp_path):
     assert main(["curl-check", "--config", missing]) == 2
 
 
-def test_bad_specs_exit_2(tmp_path):
+def test_bad_specs_exit_2(tmp_path, capsys):
     assert run(tmp_path, "curl-check", "--field", "vortex") == 2
     assert run(tmp_path, "curl-check", "--domain", "torus:r=2") == 2
     assert run(tmp_path, "curl-check", "--tol", "tight") == 2
+    # radial tables too small to interpolate: one cos(theta) row, no grid
+    for name, text in (("one_row.txt", "1,1\n1.5\n"), ("empty.txt", "0,0\n")):
+        table = tmp_path / name
+        table.write_text(text)
+        assert run(tmp_path, "validate-domain",
+                   "--domain", f"radial:file={table}") == 2
+    err = capsys.readouterr().err
+    assert "bad configuration: radial table grid 1 x 1" in err
+    assert "bad configuration: radial table grid 0 x 0" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -205,11 +214,22 @@ def test_curl_check_exit_codes(tmp_path, capsys):
     assert run(tmp_path / "ok", "curl-check", "--n-points", "2",
                "--seed", "1") == 0
     assert (tmp_path / "ok" / "curl_check.csv").is_file()
-    # a field with boundary flux breaks the advertised identity
+    # a field with boundary flux passes against g - B[div g] + T[g . nu]
+    assert run(tmp_path / "flux", "curl-check", "--field", "constant:1,0,0",
+               "--n-points", "1") == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+    # and no quadrature meets a zero tolerance
     assert run(tmp_path / "bad", "curl-check", "--field", "constant:1,0,0",
-               "--n-points", "1") == 1
-    out = capsys.readouterr().out
-    assert "[PASS]" in out and "[FAIL]" in out
+               "--n-points", "1", "--tol", "0") == 1
+    assert "[FAIL]" in capsys.readouterr().out
+    # tabulated radial domains have no surface rule, so no T[g . nu]
+    table = tmp_path / "sphere.txt"
+    save_radial_table(radial_from_function(lambda u: np.full(u.shape[:-1], 2.0),
+                                           n_polar=8, n_azimuth=16), str(table))
+    assert run(tmp_path / "radial", "curl-check", "--n-points", "1",
+               "--domain", f"radial:file={table}") == 2
+    err = capsys.readouterr().err
+    assert "bad configuration" in err and "flux term T[g . nu]" in err
 
 
 def test_grad_check_cli(tmp_path):

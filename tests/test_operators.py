@@ -22,12 +22,11 @@ from starcurl.operators import (
     domain_integral,
     eval_grid,
     grad_curl_inverse,
-    residual_identity,
 )
 from starcurl.quadrature import (QuadratureConfig, _ray_nodes, ball_radius,
                                  sphere_rule, sphere_rule_from_count)
 from starcurl.smoothing import Mollifier
-from starcurl.verify import fd_div, fd_jacobian, grad_check
+from starcurl.verify import curl_reference, fd_div, fd_jacobian, grad_check
 
 RIGID = registry_get("rigid")
 E1 = registry_get("constant", 1.0, 0.0, 0.0)
@@ -148,11 +147,6 @@ def test_divergence_inverse_inverts_div(op):
     assert abs(d - x[0]) < 1e-3
 
 
-def test_divergence_inverse_warns_on_nonzero_mean(op):
-    with pytest.warns(UserWarning, match="nonzero mean"):
-        bogovskii(op, lambda y: np.ones(y.shape[0]), [0.2, 0.0, 0.0])
-
-
 # -- analytic Jacobian ------------------------------------------------------
 
 
@@ -201,11 +195,12 @@ def test_flux_term_closes_the_reproduction_identity(op):
 def test_residual_requires_closed_form_divergence(op):
     bare = VectorField("bare", RIGID.eval, div=None)
     with pytest.raises(ValueError, match="divergence"):
-        residual_identity(op, bare, [0.3, 0.1, 0.0])
+        curl_reference(op, bare, [0.3, 0.1, 0.0])
 
 
 def test_residual_vanishes_for_tangent_solenoidal_field(op):
-    r = residual_identity(op, RIGID, [0.3, 0.1, 0.0])
+    x = [0.3, 0.1, 0.0]
+    r = curl_of_curl_inverse(op, RIGID, x) - curl_reference(op, RIGID, x)
     assert np.max(np.abs(r)) < 1e-9
 
 
@@ -225,7 +220,7 @@ def test_decomposition_and_gradient_hold_at_the_support_shell(op, x):
     # cap rule does just outside it
     g = registry_get("nonsol")
     x = np.array(x)
-    r = residual_identity(op, g, x) - boundary_flux_term(op, g, x)
+    r = curl_of_curl_inverse(op, g, x) - curl_reference(op, g, x)
     assert np.max(np.abs(r)) <= 1e-4
     assert grad_check(op, g, x[None], h=2e-3, tol=1e-3).passed
 
@@ -236,14 +231,13 @@ def test_decomposition_and_gradient_hold_at_the_support_shell(op, x):
     (0.948, 0.665, -1.852),
     (0.76, 1.785, -1.118),
 ])
-@pytest.mark.filterwarnings("ignore:field passed to the divergence inverse")
 def test_decomposition_closes_on_the_ellipsoid(x):
     # the flux term needs the surface patch the kernels at x see; on an
     # ellipsoid that patch is no cap about the origin
     op = CurlInverseOp(ellipsoid(2.0, 2.5, 3.0))
     g = registry_get("nonsol")
     x = np.array(x)
-    r = residual_identity(op, g, x) - boundary_flux_term(op, g, x)
+    r = curl_of_curl_inverse(op, g, x) - curl_reference(op, g, x)
     assert np.max(np.abs(r)) <= 5e-3
 
 
@@ -259,8 +253,9 @@ def test_residual_equals_flux_term_for_solenoidal_flow(op):
     # the residual curl(Rg) - g + B[div g] is the boundary flux term; with
     # div g = 0 the B part is exactly zero, and the gap itself is not small
     x = np.array([0.3, -0.2, 0.1])
-    r = residual_identity(op, E1, x)
+    r = curl_of_curl_inverse(op, E1, x) - E1.eval(x)
     flux = boundary_flux_term(op, E1, x)
+    assert np.array_equal(curl_reference(op, E1, x), E1.eval(x) + flux)
     assert np.max(np.abs(r - flux)) < 1e-8
     assert np.max(np.abs(r)) > 1.0
 
@@ -397,7 +392,6 @@ _PANEL_OPS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:field passed to the divergence inverse")
 @pytest.mark.parametrize("spec", list(PANEL_PINS))
 def test_panel_values_pinned_at_equal_budget(spec):
     if spec == "table":

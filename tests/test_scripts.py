@@ -1,6 +1,6 @@
 """The study scripts start: each one imports what it needs from the package
-and prints its usage.  The benchmark's tracer finds every package name it
-wraps."""
+and prints its usage, and the decomposition script closes its residual.
+The benchmark's tracer finds every package name it wraps."""
 
 import os
 import subprocess
@@ -22,6 +22,16 @@ def test_script_help_exits_0(script):
     res = _run_with_package([str(script), "--help"])
     assert res.returncode == 0, res.stderr
     assert "usage:" in res.stdout
+
+
+def test_flux_decomposition_residual_is_small():
+    # default ball and field constant:1,0,0; the last column is the residual
+    script = ROOT / "scripts" / "flux_decomposition.py"
+    res = _run_with_package([str(script), "--n", "1"])
+    assert res.returncode == 0, res.stderr
+    rows = res.stdout.strip().splitlines()[2:]
+    assert len(rows) == 1
+    assert float(rows[0].split()[-1]) <= 5e-3, res.stdout
 
 
 def test_perfbench_trace_targets_resolve():
