@@ -201,7 +201,7 @@ def _merge_flags(cfg: RunConfig, ns: argparse.Namespace) -> RunConfig:
 def _validate(cfg: RunConfig) -> None:
     """Reject spec strings, choices and numeric knobs that no command could
     use, whether they came from the config file or from a flag."""
-    parse_domain(cfg.domain)
+    dom = parse_domain(cfg.domain)
     parse_field(cfg.field)
     for opt in _OPTIONS:
         if opt.choices and getattr(cfg, opt.attr) not in opt.choices:
@@ -211,8 +211,9 @@ def _validate(cfg: RunConfig) -> None:
         raise ValueError(f"h must be a positive finite step, got {cfg.h}")
     if cfg.tol != "auto" and not 0.0 <= float(cfg.tol) < math.inf:
         raise ValueError(f"tol must be finite and non-negative, got {cfg.tol}")
-    if not 0.0 <= cfg.margin < math.inf:
-        raise ValueError(f"margin must be finite and non-negative, got {cfg.margin}")
+    if not 0.0 <= cfg.margin < dom.circumradius:
+        raise ValueError(f"margin must be non-negative and below the domain's "
+                         f"circumradius {dom.circumradius:g}, got {cfg.margin}")
     if cfg.seed < 0:
         raise ValueError(f"seed must be non-negative, got {cfg.seed}")
     eps = cfg.eps_list

@@ -2,8 +2,8 @@
 
 Every field evaluates vectorized: an (n, 3) array of points yields an (n, 3)
 array of values (a single 3-vector is also accepted).  Fields that know
-their divergence or curl in closed form carry them along so checks can
-compare finite differences against exact references.
+their divergence in closed form carry it along: the curl reference needs
+B[div g], and the divergence solve can use it as its right-hand side.
 
 The modulus estimator certifies smoothness claims empirically: it samples
 point pairs at controlled separations and records the largest increment per
@@ -33,7 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VectorField:
-    """An analytic vector field with optional closed-form derivatives.
+    """An analytic vector field with an optional closed-form divergence.
 
     smoothness is one of "smooth", "hoelder(a)", "dini", "non-dini"; it is a
     label used by checks to pick tolerances, never trusted blindly (the
@@ -43,9 +43,7 @@ class VectorField:
     name: str
     eval: callable
     div: callable | None = None
-    curl: callable | None = None
     smoothness: str = "smooth"
-    params: tuple = ()
 
     def __call__(self, x):
         return self.eval(x)
@@ -61,8 +59,7 @@ def _batched(fn):
     return wrapped
 
 
-def _zeros_like_scalar(y):
-    return np.zeros(y.shape[0])
+_DIV_FREE = _batched(lambda y: np.zeros(y.shape[0]))
 
 
 def _constant(c1, c2, c3):
@@ -71,24 +68,14 @@ def _constant(c1, c2, c3):
     def ev(y):
         return np.broadcast_to(c, y.shape).copy()
 
-    def cu(y):
-        return np.zeros_like(y)
-
-    return VectorField("constant", _batched(ev), div=_batched(_zeros_like_scalar),
-                       curl=_batched(cu), smoothness="smooth", params=(c1, c2, c3))
+    return VectorField("constant", _batched(ev), div=_DIV_FREE, smoothness="smooth")
 
 
 def _rigid():
     def ev(y):
         return np.stack([-y[:, 1], y[:, 0], np.zeros(y.shape[0])], axis=1)
 
-    def cu(y):
-        out = np.zeros_like(y)
-        out[:, 2] = 2.0
-        return out
-
-    return VectorField("rigid", _batched(ev), div=_batched(_zeros_like_scalar),
-                       curl=_batched(cu), smoothness="smooth")
+    return VectorField("rigid", _batched(ev), div=_DIV_FREE, smoothness="smooth")
 
 
 def _abc():
@@ -98,19 +85,14 @@ def _abc():
                          np.sin(y[:, 0]) + np.cos(y[:, 2]),
                          np.sin(y[:, 1]) + np.cos(y[:, 0])], axis=1)
 
-    return VectorField("abc", _batched(ev), div=_batched(_zeros_like_scalar),
-                       curl=_batched(ev), smoothness="smooth")
+    return VectorField("abc", _batched(ev), div=_DIV_FREE, smoothness="smooth")
 
 
 def _trig():
     def ev(y):
         return np.stack([np.sin(y[:, 2]), np.sin(y[:, 0]), np.sin(y[:, 1])], axis=1)
 
-    def cu(y):
-        return np.stack([np.cos(y[:, 1]), np.cos(y[:, 2]), np.cos(y[:, 0])], axis=1)
-
-    return VectorField("trig", _batched(ev), div=_batched(_zeros_like_scalar),
-                       curl=_batched(cu), smoothness="smooth")
+    return VectorField("trig", _batched(ev), div=_DIV_FREE, smoothness="smooth")
 
 
 def _hoelder():
@@ -123,8 +105,7 @@ def _hoelder():
     def ev(y):
         return np.stack([f(y[:, 1]), f(y[:, 2]), f(y[:, 0])], axis=1)
 
-    return VectorField("hoelder", _batched(ev), div=_batched(_zeros_like_scalar),
-                       curl=None, smoothness="hoelder(0.5)")
+    return VectorField("hoelder", _batched(ev), div=_DIV_FREE, smoothness="hoelder(0.5)")
 
 
 def _nonsol():
@@ -136,11 +117,7 @@ def _nonsol():
     def dv(y):
         return np.cos(y[:, 0])
 
-    def cu(y):
-        return np.zeros_like(y)
-
-    return VectorField("nonsol", _batched(ev), div=_batched(dv),
-                       curl=_batched(cu), smoothness="smooth")
+    return VectorField("nonsol", _batched(ev), div=_batched(dv), smoothness="smooth")
 
 
 def _nondini():
@@ -156,8 +133,7 @@ def _nondini():
     def ev(y):
         return np.stack([h(y[:, 1]), h(y[:, 2]), h(y[:, 0])], axis=1)
 
-    return VectorField("nondini", _batched(ev), div=_batched(_zeros_like_scalar),
-                       curl=None, smoothness="non-dini")
+    return VectorField("nondini", _batched(ev), div=_DIV_FREE, smoothness="non-dini")
 
 
 def _bumpcurl():
@@ -180,8 +156,7 @@ def _bumpcurl():
         gp = phi_grad(y)
         return np.stack([gp[:, 1], -gp[:, 0], np.zeros(y.shape[0])], axis=1)
 
-    return VectorField("bumpcurl", _batched(ev), div=_batched(_zeros_like_scalar),
-                       curl=None, smoothness="smooth")
+    return VectorField("bumpcurl", _batched(ev), div=_DIV_FREE, smoothness="smooth")
 
 
 _REGISTRY = {

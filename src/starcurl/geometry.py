@@ -3,13 +3,18 @@
 Every domain here is star-shaped with respect to the closed unit ball
 centered at the origin: for any z in the domain and any b with |b| <= 1
 the whole segment [b, z] stays inside.  That containment requirement is
-what makes the integral kernels vanish identically outside the domain,
-so it is enforced at construction time.
+what makes the integral kernels vanish identically outside the domain.
+Construction enforces it for ellipsoids and boxes, which are convex and
+contain the unit ball once every semi-axis or half-width exceeds 1.  A
+radial table is only checked for min r > 1, which does not make it star-
+shaped: the waisted table r = 1.1 + 2.5 u_z^4 constructs, and
+validate_star_shape (``starcurl validate-domain``) finds segments [b, z]
+that leave it.  That sampled check is the audit for tables.
 
 Supported shapes:
 
-* ``ball``       radius R0 > 1, centered at the origin
-* ``ellipsoid``  semi-axes a, b, c, all > 1
+* ``ellipsoid``  semi-axes a, b, c, all > 1; ``ball(r0)`` is the one with
+                 three equal semi-axes r0
 * ``box``        half-widths h1, h2, h3, all > 1
 * ``radial``     boundary radius r(u) tabulated over a product sphere
                  grid, min r > 1; interpolated bilinearly in (theta, phi)
@@ -45,7 +50,8 @@ __all__ = [
 class StarDomain:
     """A bounded domain star-shaped w.r.t. the closed unit ball at the origin.
 
-    ``kind`` is one of ``ball``, ``ellipsoid``, ``box``, ``radial``.
+    ``kind`` is one of ``ellipsoid``, ``box``, ``radial``; a ball is the
+    ellipsoid with three equal semi-axes.
     ``params`` holds the shape parameters; for ``radial`` the table of
     boundary radii lives in ``table`` with its (theta, phi) grid.
     """
@@ -57,29 +63,19 @@ class StarDomain:
     table: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("ball", "ellipsoid", "box", "radial"):
+        if self.kind not in ("ellipsoid", "box", "radial"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "ball":
-            (r0,) = self.params
-            if not r0 > 1.0:
-                raise ValueError("ball radius must exceed 1 (unit ball containment)")
-        elif self.kind == "ellipsoid":
-            if min(self.params) <= 1.0:
-                raise ValueError("ellipsoid semi-axes must exceed 1")
-        elif self.kind == "box":
-            if min(self.params) <= 1.0:
-                raise ValueError("box half-widths must exceed 1")
-        else:
-            _, _, rvals = self.table
-            if np.min(rvals) <= 1.0:
+        if self.kind == "radial":
+            if np.min(self.table[2]) <= 1.0:
                 raise ValueError("radial table must stay above 1 everywhere")
+        elif not all(p > 1.0 for p in self.params):   # NaN fails too
+            what = "semi-axes" if self.kind == "ellipsoid" else "half-widths"
+            raise ValueError(f"{self.kind} {what} must exceed 1")
 
     # -- scalar geometric descriptors -------------------------------------
 
     @property
     def circumradius(self) -> float:
-        if self.kind == "ball":
-            return self.params[0]
         if self.kind == "ellipsoid":
             return max(self.params)
         if self.kind == "box":
@@ -88,11 +84,7 @@ class StarDomain:
 
     @property
     def inradius(self) -> float:
-        if self.kind == "ball":
-            return self.params[0]
-        if self.kind == "ellipsoid":
-            return min(self.params)
-        if self.kind == "box":
+        if self.kind in ("ellipsoid", "box"):
             return min(self.params)
         return float(np.min(self.table[2]))
 
@@ -105,7 +97,9 @@ class StarDomain:
 
 
 def ball(r0: float) -> StarDomain:
-    return StarDomain("ball", (float(r0),))
+    """The ball of radius r0 about the origin: the ellipsoid with three equal
+    semi-axes."""
+    return ellipsoid(r0, r0, r0)
 
 
 def ellipsoid(a: float, b: float, c: float) -> StarDomain:
@@ -268,10 +262,7 @@ def contains(dom: StarDomain, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 1
     pts = np.atleast_2d(x)
-    if dom.kind == "ball":
-        r0 = dom.params[0]
-        out = np.einsum("...i,...i->...", pts, pts) < r0 * r0
-    elif dom.kind == "ellipsoid":
+    if dom.kind == "ellipsoid":
         ax = np.asarray(dom.params)
         q = pts / ax
         out = np.einsum("...i,...i->...", q, q) < 1.0
@@ -294,9 +285,7 @@ def boundary_distance(dom: StarDomain, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     scalar = u.ndim == 1
     uu = np.atleast_2d(u)
-    if dom.kind == "ball":
-        out = np.full(uu.shape[:-1], dom.params[0])
-    elif dom.kind == "ellipsoid":
+    if dom.kind == "ellipsoid":
         ax = np.asarray(dom.params)
         q = uu / ax
         out = 1.0 / np.sqrt(np.einsum("...i,...i->...", q, q))
@@ -369,8 +358,8 @@ def ray_segments(dom: StarDomain, x, u, t_max) -> np.ndarray:
 
     Returns an (n, k) array, k >= 1: row i holds the crossings of ray i in
     increasing order, padded with t_max[i].  From an interior point of a
-    ball, ellipsoid or box every ray crosses once, so k = 1 and the row is
-    the exit.  Closed-form for ball/ellipsoid/box; a membership scan plus
+    ellipsoid or box every ray crosses once, so k = 1 and the row is the
+    exit.  Closed-form for ellipsoids and boxes; a membership scan plus
     bisection (to 1e-10 in t) for radial tables, whose rays may leave the
     domain and come back.
     """
@@ -396,13 +385,12 @@ def ray_segments(dom: StarDomain, x, u, t_max) -> np.ndarray:
 
 def _convex_exit(dom: StarDomain, x, u):
     """Distance along each line x + t u (one per row of the unit directions
-    ``u``) to where it leaves a ball, ellipsoid or box, as an (n,) array.
-    It may be negative; a line that misses a ball or ellipsoid gets the
-    distance to its point nearest the domain."""
-    if dom.kind in ("ball", "ellipsoid"):
+    ``u``) to where it leaves an ellipsoid or box, as an (n,) array.  It
+    may be negative; a line that misses an ellipsoid gets the distance to
+    its point nearest the domain."""
+    if dom.kind == "ellipsoid":
         # |diag(inv_ax) (x + t u)| < 1
-        inv_ax = (np.ones(3) / dom.params[0] if dom.kind == "ball"
-                  else 1.0 / np.asarray(dom.params))
+        inv_ax = 1.0 / np.asarray(dom.params)
         xs = x * inv_ax
         us = u * inv_ax
         a = np.einsum("ij,ij->i", us, us)
@@ -496,7 +484,8 @@ def sample_interior(dom: StarDomain, n: int, rng, margin: float = 0.0) -> np.nda
     """Uniform interior points by rejection from the circumball.
 
     ``margin`` keeps a radial gap to the boundary: points x with
-    radial_gap(x) <= margin are rejected.
+    radial_gap(x) <= margin are rejected.  A margin that rejects every
+    candidate of 1000 draws is a ValueError.
     """
     rad = dom.circumradius
     pts = np.empty((n, 3))
@@ -505,7 +494,8 @@ def sample_interior(dom: StarDomain, n: int, rng, margin: float = 0.0) -> np.nda
     while got < n:
         attempts += 1
         if attempts > 1000:
-            raise RuntimeError("interior sampling failed to converge")
+            raise ValueError(f"no interior point with radial clearance above "
+                             f"margin {margin} in 1000 draws")
         cand = _uniform_ball(rng, 2 * (n - got) + 16, rad)
         keep = cand[contains(dom, cand)]
         if margin > 0.0:

@@ -20,7 +20,8 @@ The reproduction identity certified by this package is
     curl(Rg)(x) = g(x) - B[div g](x) + T[g . nu](x),        x in Omega,
 
 where B is the divergence inverse and T integrates the normal flux of g
-over the boundary against B's kernel.  Both correction terms vanish exactly
+over the boundary against B's kernel, on boundary_quadrature's nodes as
+seen from x.  Both correction terms vanish exactly
 when g is solenoidal and tangent to the boundary (in particular when g is
 compactly supported inside the domain), and then curl(Rg) = g.  See
 boundary_flux_term for T; verify.curl_reference assembles the right-hand
@@ -139,15 +140,23 @@ def bogovskii(op: CurlInverseOp, F, x) -> np.ndarray:
     """Divergence inverse (BF)(x) = int F(y) Ntilde(x,y) dy: div(BF) = F in
     the domain and BF vanishes on the boundary, provided F has zero mean.
     The formula itself is evaluable for any F; verify.div_check reports
-    the mean next to the identity it conditions."""
+    the mean next to the identity it conditions.  The kernel is evaluated
+    only where F(y) != 0; the other nodes contribute exact zeros."""
     mol, n_alpha = op.mollifier, op.quad.n_alpha
-    return _zero_extended(op, x, lambda x, y: np.asarray(F(y))[:, None]
-                          * kernel_N_tilde(x, y, mol, n_alpha))
+
+    def f(x, y):
+        Fy = np.asarray(F(y))
+        out, nz = np.zeros((len(y), 3)), Fy != 0.0
+        out[nz] = Fy[nz, None] * kernel_N_tilde(x, y[nz], mol, n_alpha)
+        return out
+
+    return _zero_extended(op, x, f)
 
 
 def _t3_surface(op: CurlInverseOp, x) -> np.ndarray:
     """Flux of the kernel through the enclosing sphere |y| = R, the matrix
-    int N_i(x,y) nu_m(y) dsigma, on boundary_quadrature's nodes for B_R at x."""
+    int N_i(x,y) nu_m(y) dsigma, on boundary_quadrature's sphere caps for
+    B_R at x."""
     mol = op.mollifier
     y, w, nu = boundary_quadrature(ball(op.r_ball), op.quad.n_surface,
                                    x=x, support_radius=mol.support_radius)
@@ -229,9 +238,9 @@ class FieldSampleGrid:
 def eval_grid(op: CurlInverseOp, g, origin, spacing, counts,
               threads: int = 1) -> FieldSampleGrid:
     """Evaluate the potential on a lattice.  Outside points short-circuit;
-    inside points fan out over a thread pool (each quadrature is
-    independent), and results are written back by index, so the grid is
-    identical for any thread count."""
+    inside points fan out over a pool of ``threads`` workers (each
+    quadrature is independent), and results are written back by index, so
+    the grid is identical for any thread count."""
     origin = np.asarray(origin, dtype=float)
     spacing = np.asarray(spacing, dtype=float)
     counts = tuple(int(c) for c in counts)
@@ -243,15 +252,9 @@ def eval_grid(op: CurlInverseOp, g, origin, spacing, counts,
     grid.inside.ravel()[...] = ins
     todo = np.nonzero(ins)[0]
 
-    def work(flat_idx):
-        return flat_idx, curl_inverse(op, g, pts[flat_idx])
-
     flat_vals = grid.values.reshape(-1, 3)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for flat_idx, v in ex.map(work, todo):
-                flat_vals[flat_idx] = v
-    else:
-        for flat_idx in todo:
-            flat_vals[flat_idx] = work(flat_idx)[1]
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        for flat_idx, v in zip(todo, ex.map(
+                lambda i: curl_inverse(op, g, pts[i]), todo)):
+            flat_vals[flat_idx] = v
     return grid

@@ -20,11 +20,14 @@ v . x/|x| >= sqrt(1 - (r_s/|x|)^2); for |x| <= r_s the whole sphere, split
 into a front and a back cap at v . x = 0, where the kernels turn.  Each
 cap gets the full product rule, which resolves the kernels just inside r_s.
 
-Surface integrals over a ball or ellipsoid (semi-axes a) use the same rays:
-one leaving a centre c along v exits at y = c + rho v, where the outward
-normal is nu ~ y / a^2, and its solid-angle weight w becomes w rho^2 / (v . nu).
-Seen from x, a ball keeps c = 0 and its sphere's caps; an ellipsoid takes
-c = x and the direction caps, as the patch x sees on it is no origin cap.
+Surface integrals over an ellipsoid (semi-axes a) use the same rays: one
+leaving a centre c along v exits at y = c + rho v, where the outward normal
+is nu ~ y / a^2, and its solid-angle weight w becomes w rho^2 / (v . nu).
+Seen from x, a sphere (three equal semi-axes) keeps c = 0 and its caps,
+which gain from cancellation; any other ellipsoid takes c = x and the
+direction caps, as the patch x sees on it is no origin cap.  A box face
+seen from x is integrated in the two angles of its points about x, which
+puts the nodes where the kernels at x vary fastest.
 """
 
 from __future__ import annotations
@@ -287,20 +290,23 @@ def boundary_quadrature(domain: StarDomain, n: int, x=None, support_radius=None)
     normals) with positive weights and outward unit normals, so that
     sum w_i h(y_i, nu_i) approximates the surface integral of h.
 
-    Balls and ellipsoids take the ray exits of the module docstring, from
-    the origin over the whole sphere (n-node product rule) or, given ``x``
-    and ``support_radius``, over the caps of support_caps through which the
+    Ellipsoids take the ray exits of the module docstring, from the origin
+    over the whole sphere (n-node product rule) or, given ``x`` and
+    ``support_radius``, over the caps of support_caps through which the
     kernels at x see the bump.  Rays from an x outside the domain miss the
-    surface and get no node.  A box gets a Gauss-Legendre rule on each face,
-    whatever x is; tabulated radial shapes carry no closed-form surface
-    element and are not supported.
+    surface and get no node.  A box gets an m x m Gauss-Legendre rule on
+    each face, m = round(sqrt(n / 6)): over the face itself, or, given
+    ``x``, over the two angles seen from x, y_i = x_i + d tan(alpha) at
+    distance d from the face's plane.  A face that x lies beyond (d <= 0,
+    only for x outside the box) gets no node.  Tabulated radial shapes carry
+    no closed-form surface element and are not supported.
     """
-    if domain.kind in ("ball", "ellipsoid"):
-        a = np.broadcast_to(np.asarray(domain.params, dtype=float), (3,))
+    if domain.kind == "ellipsoid":
+        a = np.asarray(domain.params, dtype=float)
         rule = sphere_rule_from_count(n)
         c, caps = np.zeros(3), [(rule.points, rule.weights)]
         if x is not None and support_radius is not None:
-            from_x = domain.kind == "ellipsoid"
+            from_x = not a[0] == a[1] == a[2]
             c = np.asarray(x, dtype=float) if from_x else c
             caps = [cap_nodes(axis, mu, rule.n_polar, rule.n_azimuth) for axis, mu
                     in support_caps(x, support_radius, None if from_x else a[0])]
@@ -318,21 +324,30 @@ def boundary_quadrature(domain: StarDomain, n: int, x=None, support_radius=None)
         h = np.asarray(domain.params, dtype=float)
         m = max(2, round(math.sqrt(n / 6.0)))
         t, wg = gauss_legendre(m)
+        c = np.zeros(3) if x is None else np.asarray(x, dtype=float)
+
+        def side(i, d):
+            """Nodes and weights along face coordinate i, at distance d."""
+            if x is None:
+                return h[i] * t, h[i] * wg
+            lo, hi = np.arctan((-h[i] - c[i]) / d), np.arctan((h[i] - c[i]) / d)
+            alpha = 0.5 * (hi + lo) + 0.5 * (hi - lo) * t
+            return c[i] + d * np.tan(alpha), 0.5 * (hi - lo) * wg * d / np.cos(alpha) ** 2
+
         pts, ws, nus = [], [], []
         for axis in range(3):
             i, j = (axis + 1) % 3, (axis + 2) % 3
-            a2, b2 = (h[i] * t)[:, None], (h[j] * t)[None, :]
-            wij = (h[i] * h[j] * np.outer(wg, wg)).ravel()
             for sgn in (-1.0, 1.0):
-                face = np.empty((m * m, 3))
-                face[:, axis] = sgn * h[axis]
-                face[:, i] = np.broadcast_to(a2, (m, m)).ravel()
-                face[:, j] = np.broadcast_to(b2, (m, m)).ravel()
-                nu = np.zeros((m * m, 3))
-                nu[:, axis] = sgn
-                pts.append(face)
-                ws.append(wij)
-                nus.append(nu)
+                d = h[axis] - sgn * c[axis]
+                if d <= 0.0:
+                    continue
+                (yi, wi), (yj, wj) = side(i, d), side(j, d)
+                face = np.empty((m, m, 3))
+                face[..., axis] = sgn * h[axis]
+                face[..., i], face[..., j] = yi[:, None], yj[None, :]
+                pts.append(face.reshape(-1, 3))
+                ws.append(np.outer(wi, wj).ravel())
+                nus.append(np.tile(sgn * np.eye(3)[axis], (m * m, 1)))
         return np.concatenate(pts), np.concatenate(ws), np.concatenate(nus)
     raise NotImplementedError("no surface rule, and so no flux term T[g . nu], "
                               "for tabulated radial shapes")

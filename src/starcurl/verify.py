@@ -233,6 +233,8 @@ def boundary_check(op: CurlInverseOp, g, n_points: int = 100,
     offsets 1e-2 and 1e-3 of the diameter, |Rg| must decrease toward the
     boundary for at least 95% of n_points directions; the report carries
     the shortfall of that fraction as a synthetic row."""
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
     rng = np.random.default_rng(seed)
     dom = op.domain
     diam = dom.diameter

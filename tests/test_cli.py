@@ -142,6 +142,7 @@ def test_bad_specs_exit_2(tmp_path, capsys):
     ("grad-check", "--n-points", "1", "--quad.r_factor", "inf"),
     ("curl-check", "--n-points", "1", "--margin", "nan"),
     ("curl-check", "--n-points", "1", "--margin", "-5"),
+    ("curl-check", "--n-points", "1", "--margin", "5"),
 ], ids=" ".join)
 def test_bad_counts_exit_2(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 2

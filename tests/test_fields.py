@@ -69,8 +69,6 @@ def test_abc_beltrami(rng):
     pts = sample_interior(DOM, 10, rng)
     curl_fd = fd_curl_of(f, pts)
     assert np.max(np.abs(curl_fd - f.eval(pts))) <= 1e-6
-    if f.curl is not None:
-        assert np.max(np.abs(f.curl(pts) - f.eval(pts))) <= 1e-12
 
 
 def test_hoelder_diagonal_derivative_exists(rng):
@@ -98,15 +96,6 @@ def test_nonsol_analytic_divergence(rng):
     pts = sample_interior(DOM, 50, rng)
     assert np.allclose(f.div(pts), np.cos(pts[:, 0]))
     assert np.max(np.abs(fd_div_of(f, pts) - f.div(pts))) <= 1e-6
-
-
-@pytest.mark.parametrize("name", ["rigid", "abc", "trig", "nonsol", "bumpcurl"])
-def test_analytic_curl_matches_fd(name, rng):
-    f = registry_get(name)
-    if f.curl is None:
-        pytest.skip(f"{name} declares no curl")
-    pts = sample_interior(DOM, 20, rng)
-    assert np.max(np.abs(fd_curl_of(f, pts) - f.curl(pts))) <= 1e-6
 
 
 def test_bumpcurl_compactly_supported(rng):

@@ -38,6 +38,7 @@ def test_contains_vectorized(rng):
 
 def test_scalar_descriptors():
     assert ball(2.0).diameter == 4.0
+    assert ball(2.0) == ellipsoid(2.0, 2.0, 2.0)
     assert ellipsoid(2.0, 2.5, 3.0).circumradius == 3.0
     assert ellipsoid(2.0, 2.5, 3.0).inradius == 2.0
     assert box(1.5, 2.0, 2.5).inradius == 1.5
@@ -52,6 +53,8 @@ def test_scalar_descriptors():
         lambda: ellipsoid(1.0, 2.0, 2.0),
         lambda: box(0.8, 2.0, 2.0),
         lambda: StarDomain("pentagon"),
+        lambda: ball(float("nan")),
+        lambda: ellipsoid(2.0, float("nan"), 2.0),
     ],
 )
 def test_unit_ball_containment_enforced(ctor):
@@ -202,6 +205,11 @@ def test_sample_interior_margin(rng):
     pts = sample_interior(dom, 500, rng, margin=0.3)
     assert np.all(contains(dom, pts))
     assert np.min(radial_gap(dom, pts)) >= 0.3 - 1e-12
+
+
+def test_sample_interior_rejects_an_impossible_margin(rng):
+    with pytest.raises(ValueError, match="margin 5"):
+        sample_interior(ball(2.0), 1, rng, margin=5.0)
 
 
 def test_sample_directions_unit(rng):

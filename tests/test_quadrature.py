@@ -280,6 +280,40 @@ def test_boundary_quadrature_ellipsoid_sees_the_patch_from_x():
     assert np.max(np.abs(capped - full)) <= 1e-5
 
 
+@pytest.mark.parametrize("x,bound", [((0.9, -0.4, 0.6), 1e-2),
+                                     ((1.3, 1.2, -0.7), 5e-2)])
+def test_boundary_quadrature_box_sees_its_faces_from_x(x, bound):
+    # the flux term's integrand at x: the 590-node angle rule about x
+    # against a fine whole-face rule, which knows nothing about x
+    dom = box(1.5, 1.5, 1.5)
+    g = registry_get("nonsol")
+    x = np.array(x)
+
+    def flux(pts, w, nu):
+        gn = np.einsum("ij,ij->i", g(pts), nu)
+        return np.tensordot(w, gn[:, None] * kernel_N_tilde(x, pts, MOL), axes=1)
+
+    seen = flux(*boundary_quadrature(dom, 590, x=x, support_radius=0.9))
+    full = flux(*boundary_quadrature(dom, 6 * 160 ** 2))
+    assert np.max(np.abs(seen - full)) <= bound
+
+
+@pytest.mark.parametrize("x", [None, (0.9, -0.4, 0.6), (1.3, 1.2, -0.7),
+                               (2.0, 0.3, -0.2)])
+def test_boundary_quadrature_box_nodes_lie_on_their_faces(x):
+    h = np.array([1.5, 2.0, 2.5])
+    pts, w, nu = boundary_quadrature(box(*h), 600, x=x, support_radius=0.9)
+    assert len(w) > 0 and np.all(w > 0.0)
+    k = np.argmax(np.abs(nu), axis=1)
+    # nu = +-e_k, the node on face k, inside the other two slabs
+    assert np.array_equal(np.abs(nu), np.eye(3)[k])
+    assert np.array_equal(pts[np.arange(len(k)), k], nu[np.arange(len(k)), k] * h[k])
+    assert np.all(np.abs(pts) <= h * (1.0 + 1e-12))
+    if x is not None and x[0] > h[0]:
+        # x lies beyond the face y_1 = +h_1, which gets no node
+        assert not np.any(nu[:, 0] > 0.0)
+
+
 @pytest.mark.parametrize("x", [(1.3, 0.2, -0.4), (0.3, -0.5, 0.4)])
 def test_boundary_quadrature_ball_flux_matches_the_cap_integrals(x):
     # on a ball the rays leave the origin over the caps of support_caps, so

@@ -168,6 +168,11 @@ def test_boundary_check_exterior_zeros_and_decay(op):
     assert frac.component == "decrease_fraction" and frac.value >= 0.95
 
 
+def test_boundary_check_needs_a_point(op):
+    with pytest.raises(ValueError, match="n_points"):
+        boundary_check(op, RIGID, n_points=0)
+
+
 # -- truncation study ----------------------------------------------------------
 
 
