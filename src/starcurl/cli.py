@@ -23,7 +23,7 @@ import numpy as np
 
 from .export import grid_to_csv, grid_to_vtk, report_to_csv
 from .fields import VectorField, modulus_of_continuity, parse_field
-from .geometry import parse_domain, sample_interior, validate_star_shape
+from .geometry import contains, parse_domain, sample_interior, validate_star_shape
 from .operators import CurlInverseOp, domain_integral, eval_grid
 from .quadrature import QuadratureConfig
 from .verify import (boundary_check, curl_check, dini_report, div_check,
@@ -233,6 +233,8 @@ def _validate(cfg: RunConfig) -> None:
         if len(v) != 3 or not all(math.isfinite(c) for c in v):
             raise ValueError(f"{name} must be three finite numbers, got "
                              + _fmt_tuple(v))
+    if not contains(dom, cfg.point):
+        raise ValueError("point must lie in the domain, got " + _fmt_tuple(cfg.point))
     if min(cfg.grid_spacing) <= 0.0:
         raise ValueError("grid spacing must be positive, got "
                          + _fmt_tuple(cfg.grid_spacing))

@@ -176,11 +176,14 @@ def registry_names():
 
 
 def registry_get(name: str, *params) -> VectorField:
-    """Look up a built-in field; `constant` takes its three components as
-    parameters (default (1,0,0))."""
+    """Look up a built-in field; `constant` takes its three finite components
+    as parameters (default (1,0,0))."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown field {name!r}; known: {', '.join(registry_names())}")
     if name == "constant":
+        if params and not (len(params) == 3 and np.all(np.isfinite(params))):
+            raise ValueError(f"field 'constant' takes three finite components, "
+                             f"got {', '.join(map(str, params))}")
         return _constant(*(params if params else (1.0, 0.0, 0.0)))
     if params:
         raise ValueError(f"field {name!r} takes no parameters")

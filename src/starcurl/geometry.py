@@ -66,8 +66,10 @@ class StarDomain:
         if self.kind not in ("ellipsoid", "box", "radial"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
         if self.kind == "radial":
-            if np.min(self.table[2]) <= 1.0:
-                raise ValueError("radial table must stay above 1 everywhere")
+            r = self.table[2]
+            if not np.all(np.isfinite(r) & (r > 1.0)):
+                raise ValueError("radial table radii must be finite and above 1 "
+                                 "everywhere")
         elif not all(p > 1.0 for p in self.params):   # NaN fails too
             what = "semi-axes" if self.kind == "ellipsoid" else "half-widths"
             raise ValueError(f"{self.kind} {what} must exceed 1")
@@ -174,30 +176,30 @@ def parse_domain(spec: str) -> StarDomain:
     spec = spec.strip()
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
-    try:
-        if kind == "ball":
-            kv = _parse_kv(rest)
-            return ball(float(kv["r0"]))
-        if kind == "ellipsoid":
-            kv = _parse_kv(rest)
-            return ellipsoid(float(kv["a"]), float(kv["b"]), float(kv["c"]))
-        if kind == "box":
-            kv = _parse_kv(rest, listy=("h",))
-            h = [float(t) for t in kv["h"]]
-            if len(h) != 3:
-                raise ValueError("box needs three half-widths")
-            return box(*h)
-        if kind == "radial":
-            kv = _parse_kv(rest)
-            return load_radial_table(kv["file"])
-    except KeyError as exc:
-        raise ValueError(f"domain spec {spec!r} is missing parameter {exc}") from exc
-    raise ValueError(f"unknown domain kind in spec {spec!r}")
+    keys = {"ball": ("r0",), "ellipsoid": ("a", "b", "c"), "box": ("h",),
+            "radial": ("file",)}
+    if kind not in keys:
+        raise ValueError(f"unknown domain kind in spec {spec!r}")
+    kv = _parse_kv(rest, listy=("h",) if kind == "box" else ())
+    if set(kv) != set(keys[kind]):
+        raise ValueError(f"domain spec {spec!r} must give exactly the parameters "
+                         f"{', '.join(keys[kind])}")
+    if kind == "ball":
+        return ball(float(kv["r0"]))
+    if kind == "ellipsoid":
+        return ellipsoid(*(float(kv[k]) for k in "abc"))
+    if kind == "box":
+        h = [float(t) for t in kv["h"]]
+        if len(h) != 3:
+            raise ValueError("box needs three half-widths")
+        return box(*h)
+    return load_radial_table(kv["file"])
 
 
 def _parse_kv(rest: str, listy=()):
     """key=value pairs separated by commas; ``listy`` keys swallow bare
-    comma-separated values that follow them (box:h=1.5,1.5,1.5)."""
+    comma-separated values that follow them (box:h=1.5,1.5,1.5).  A key
+    given twice is a ValueError."""
     out = {}
     pending = None
     for tok in rest.split(","):
@@ -207,12 +209,10 @@ def _parse_kv(rest: str, listy=()):
         if "=" in tok:
             k, _, v = tok.partition("=")
             k = k.strip().lower()
-            if k in listy:
-                out[k] = [v.strip()]
-                pending = k
-            else:
-                out[k] = v.strip()
-                pending = None
+            if k in out:
+                raise ValueError(f"domain parameter {k!r} is given twice")
+            out[k] = [v.strip()] if k in listy else v.strip()
+            pending = k if k in listy else None
         elif pending is not None:
             out[pending].append(tok)
         else:
@@ -353,41 +353,33 @@ def _radial_boundary(dom: StarDomain, u: np.ndarray) -> np.ndarray:
 
 
 def ray_segments(dom: StarDomain, x, u, t_max) -> np.ndarray:
-    """Where the rays x + t u (one per row of the unit directions ``u``, t in
-    (0, t_max) with one t_max per ray) cross the boundary.
+    """Where the rays x + t u from an interior point x (one ray per row of
+    the unit directions ``u``, t in (0, t_max) with one t_max per ray) cross
+    the boundary.
 
     Returns an (n, k) array, k >= 1: row i holds the crossings of ray i in
-    increasing order, padded with t_max[i].  From an interior point of a
-    ellipsoid or box every ray crosses once, so k = 1 and the row is the
-    exit.  Closed-form for ellipsoids and boxes; a membership scan plus
-    bisection (to 1e-10 in t) for radial tables, whose rays may leave the
-    domain and come back.
+    increasing order, padded with t_max[i].  Every ray of an ellipsoid or
+    box crosses once, so k = 1 and the row is the exit, in closed form.
+    Radial tables take a membership scan plus bisection (to 1e-10 in t),
+    as their rays may leave the domain and come back.  A start point
+    outside the domain is a ValueError.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     t_max = np.asarray(t_max, dtype=float)
     if np.any(np.abs(np.linalg.norm(u, axis=1) - 1.0) > 1e-12):
         raise ValueError("ray directions must be unit vectors")
+    if not contains(dom, x):
+        raise ValueError("rays must start inside the domain")
     if dom.kind == "radial":
         return _scan_crossings(dom, x, u, t_max)
-    hi = _convex_exit(dom, x, u)
-    if contains(dom, x):
-        return np.minimum(hi, t_max)[:, None]
-    # the line enters where the reversed line exits; a line parallel to a
-    # box slab that it lies outside of fails the midpoint test
-    lo = -_convex_exit(dom, x, -u)
-    a, b = np.maximum(lo, 0.0), np.minimum(hi, t_max)
-    hit = (b > a) & contains(dom, x + 0.5 * (a + b)[:, None] * u)
-    cross = np.stack([lo, hi], axis=1)
-    keep = hit[:, None] & (cross > 0.0) & (cross < t_max[:, None])
-    return np.sort(np.where(keep, cross, t_max[:, None]), axis=1)
+    return np.minimum(_convex_exit(dom, x, u), t_max)[:, None]
 
 
 def _convex_exit(dom: StarDomain, x, u):
-    """Distance along each line x + t u (one per row of the unit directions
-    ``u``) to where it leaves an ellipsoid or box, as an (n,) array.  It
-    may be negative; a line that misses an ellipsoid gets the distance to
-    its point nearest the domain."""
+    """Distance along each ray x + t u (one per row of the unit directions
+    ``u``) from an interior point x to where it leaves an ellipsoid or box,
+    as an (n,) array."""
     if dom.kind == "ellipsoid":
         # |diag(inv_ax) (x + t u)| < 1
         inv_ax = 1.0 / np.asarray(dom.params)

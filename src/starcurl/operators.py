@@ -21,11 +21,12 @@ The reproduction identity certified by this package is
 
 where B is the divergence inverse and T integrates the normal flux of g
 over the boundary against B's kernel, on boundary_quadrature's nodes as
-seen from x.  Both correction terms vanish exactly
-when g is solenoidal and tangent to the boundary (in particular when g is
-compactly supported inside the domain), and then curl(Rg) = g.  See
-boundary_flux_term for T; verify.curl_reference assembles the right-hand
-side and verify.curl_check certifies the identity.
+seen from x; like R and B, T is exactly zero outside the domain.  Both
+correction terms vanish exactly when g is solenoidal and tangent to the
+boundary (in particular when g is compactly supported inside the domain),
+and then curl(Rg) = g.  See boundary_flux_term for T;
+verify.curl_reference assembles the right-hand side and verify.curl_check
+certifies the identity.
 """
 
 from __future__ import annotations
@@ -61,9 +62,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CurlInverseOp:
-    """Domain + mollifier + quadrature budget, with the bounding radius of
-    the enclosing ball cached.  Immutable; evaluations at distinct points
-    are independent."""
+    """Domain + mollifier + quadrature budget.  Immutable; evaluations at
+    distinct points are independent."""
 
     domain: StarDomain
     mollifier: Mollifier = field(default_factory=Mollifier)
@@ -75,10 +75,6 @@ class CurlInverseOp:
                              "that the domain is star-shaped around")
         if self.domain.inradius <= 1.0:
             raise ValueError("domain must strictly contain the closed unit ball")
-
-    @property
-    def r_ball(self) -> float:
-        return ball_radius(self.domain, self.quad)
 
 
 def _as_point(x):
@@ -129,8 +125,8 @@ def curl_inverse_eps(op: CurlInverseOp, g, x, eps: float) -> np.ndarray:
 
 def domain_integral(op: CurlInverseOp, F, x=None) -> float:
     """Integral of a scalar field over the domain (zero-extended), e.g. the
-    mean that the divergence inverse needs to vanish; the polar center
-    defaults to the origin."""
+    mean that the divergence inverse needs to vanish; the polar center x
+    defaults to the origin and must lie inside the domain."""
     x = np.zeros(3) if x is None else _as_point(x)
     return float(integrate_ball_singular(F, x, op.domain, op.quad,
                                          zero_outside_domain=True))
@@ -158,8 +154,9 @@ def _t3_surface(op: CurlInverseOp, x) -> np.ndarray:
     int N_i(x,y) nu_m(y) dsigma, on boundary_quadrature's sphere caps for
     B_R at x."""
     mol = op.mollifier
-    y, w, nu = boundary_quadrature(ball(op.r_ball), op.quad.n_surface,
-                                   x=x, support_radius=mol.support_radius)
+    y, w, nu = boundary_quadrature(ball(ball_radius(op.domain)),
+                                   op.quad.n_surface, x=x,
+                                   support_radius=mol.support_radius)
     return np.einsum("n,ni,nm->im", w, kernel_N(x, y, mol, op.quad.n_alpha), nu)
 
 
@@ -206,9 +203,12 @@ def boundary_flux_term(op: CurlInverseOp, g, x) -> np.ndarray:
     Together with B[div g] it accounts exactly for what curl(Rg) - g
     misses: the kernel construction cannot tell the field apart from its
     zero extension, whose distributional divergence carries a surface part
-    -(g . nu) on the boundary in addition to div g inside.
+    -(g . nu) on the boundary in addition to div g inside.  Like R and B it
+    vanishes outside the domain, where it returns (0,0,0) exactly.
     """
     x = _as_point(x)
+    if not bool(contains(op.domain, x)):
+        return np.zeros(3)
     mol, n_alpha = op.mollifier, op.quad.n_alpha
     y, w, nu = boundary_quadrature(op.domain, op.quad.n_surface,
                                    x=x, support_radius=mol.support_radius)

@@ -5,13 +5,14 @@ The ball integrator writes
 
     int_{B_R} f(y) dy = int_{S^2} int_0^{rho_max(u)} f(x + rho u) rho^2 drho du
 
-with polar coordinates centered at the evaluation point x.  The rho^2
-Jacobian cancels the kernel's quadratic blow-up, so the radial integrand
-stays bounded along every ray.  Each ray is cut into Gauss-Legendre panels
-at its domain boundary crossings (one ``geometry.ray_segments`` call for
-all rays, several crossings where a ray leaves a radial table and comes
-back) and at caller-supplied break radii.  Only panels of positive width
-get nodes, and an integrand zero outside the domain gets none outside it.
+with polar coordinates centered at the evaluation point x, inside the
+domain (outside it the operators return their exact zero first).  The
+rho^2 Jacobian cancels the kernel's quadratic blow-up, so the radial
+integrand stays bounded along every ray.  Each ray is cut into Gauss-
+Legendre panels at its domain boundary crossings (one ``ray_segments``
+call for all rays, several crossings where a ray leaves a radial table and
+comes back) and at caller-supplied break radii.  Only panels of positive
+width get nodes, and an integrand zero outside the domain gets none there.
 
 A mollifier-generated kernel at x vanishes on every ray whose backward
 extension misses its support B(0, r_s).  ``support_caps`` gives the caps,
@@ -65,22 +66,17 @@ class QuadratureConfig:
     n_rho:        radial nodes per ray sub-segment of the ball integrator
     sphere_nodes: node count of the product sphere rule for volume integrals
     n_surface:    node count of the sphere rule for surface integrals
-    r_factor:     B_R radius as a multiple of the domain circumradius
     """
 
     n_alpha: int = 16
     n_rho: int = 32
     sphere_nodes: int = 266
     n_surface: int = 590
-    r_factor: float = 1.05
 
     def __post_init__(self):
         for name in ("n_alpha", "n_rho", "sphere_nodes", "n_surface"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be at least 2")
-        if not 1.0 < self.r_factor < math.inf:
-            raise ValueError("r_factor must be finite and exceed 1 so that the "
-                             "closure of the domain lies inside B_R")
 
 
 @dataclass(frozen=True)
@@ -141,8 +137,9 @@ def sphere_rule_from_count(n: int) -> SphereRule:
     return sphere_rule(best[1], best[2])
 
 
-def ball_radius(domain: StarDomain, cfg: QuadratureConfig) -> float:
-    return cfg.r_factor * domain.circumradius
+def ball_radius(domain: StarDomain) -> float:
+    """Radius of B_R, 1.05 times the circumradius: B_R holds the domain's closure."""
+    return 1.05 * domain.circumradius
 
 
 def _orthonormal_frame(axis: np.ndarray):
@@ -193,8 +190,8 @@ def support_caps(x, support_radius: float, radius: float | None = None):
 def integrate_ball_singular(f, x, domain: StarDomain, cfg: QuadratureConfig,
                             extra_breaks=(), support_radius=None,
                             zero_outside_domain=False):
-    """Integrate f over B_R (R = r_factor * circumradius) in polar coordinates
-    centered at x.
+    """Integrate f over B_R (R = ball_radius(domain)) in polar coordinates
+    centered at a point x inside the domain; any other x is a ValueError.
 
     ``f`` maps an (n, 3) array of points to an (n, ...) array of values; the
     trailing shape of the result matches f's trailing shape.  Each ray is
@@ -210,9 +207,9 @@ def integrate_ball_singular(f, x, domain: StarDomain, cfg: QuadratureConfig,
     only the panels inside it get nodes.  Both restrictions are lossless.
     """
     x = np.asarray(x, dtype=float)
-    r_ball = ball_radius(domain, cfg)
-    if float(x @ x) >= r_ball * r_ball:
-        raise ValueError("evaluation point must lie strictly inside B_R")
+    if not contains(domain, x):
+        raise ValueError("evaluation point must lie inside the domain")
+    r_ball = ball_radius(domain)
     rule = sphere_rule_from_count(cfg.sphere_nodes)
     caps = ([(rule.points, rule.weights)] if support_radius is None else
             [cap_nodes(axis, mu, rule.n_polar, rule.n_azimuth)
@@ -242,9 +239,10 @@ def _ray_nodes(x, domain, cfg, u, dw, r_ball, extra_breaks,
     lo, hi = edges[:, :-1], edges[:, 1:]
     keep = hi > lo
     if zero_outside_domain:
-        # a ray changes side at each crossing (padding is past every panel)
+        # a ray starts inside and changes side at each crossing (padding is
+        # past every panel)
         n_before = np.sum(cross[:, None, :] < 0.5 * (lo + hi)[..., None], axis=2)
-        keep &= (n_before % 2 == 0) == bool(contains(domain, x))
+        keep &= n_before % 2 == 0
     ray = np.nonzero(keep)[0]
     t, wg = gauss_legendre(cfg.n_rho)
     half = 0.5 * (hi[keep] - lo[keep])                # (n_panel,)
@@ -293,14 +291,16 @@ def boundary_quadrature(domain: StarDomain, n: int, x=None, support_radius=None)
     Ellipsoids take the ray exits of the module docstring, from the origin
     over the whole sphere (n-node product rule) or, given ``x`` and
     ``support_radius``, over the caps of support_caps through which the
-    kernels at x see the bump.  Rays from an x outside the domain miss the
-    surface and get no node.  A box gets an m x m Gauss-Legendre rule on
+    kernels at x see the bump.  A box gets an m x m Gauss-Legendre rule on
     each face, m = round(sqrt(n / 6)): over the face itself, or, given
     ``x``, over the two angles seen from x, y_i = x_i + d tan(alpha) at
-    distance d from the face's plane.  A face that x lies beyond (d <= 0,
-    only for x outside the box) gets no node.  Tabulated radial shapes carry
-    no closed-form surface element and are not supported.
+    distance d > 0 from the face's plane.  A given ``x`` must lie inside the
+    domain (ValueError otherwise), so every ray and every face gets nodes.
+    Tabulated radial shapes carry no closed-form surface element and are
+    not supported.
     """
+    if x is not None and not contains(domain, x):
+        raise ValueError("surface rule seen from a point outside the domain")
     if domain.kind == "ellipsoid":
         a = np.asarray(domain.params, dtype=float)
         rule = sphere_rule_from_count(n)
@@ -312,10 +312,7 @@ def boundary_quadrature(domain: StarDomain, n: int, x=None, support_radius=None)
                     in support_caps(x, support_radius, None if from_x else a[0])]
         v = np.concatenate([u for u, _ in caps])
         dw = np.concatenate([w for _, w in caps])
-        t_max = np.full(len(v), domain.diameter)
-        rho = ray_segments(domain, c, v, t_max)[:, -1]
-        hit = rho < t_max
-        v, dw, rho = v[hit], dw[hit], rho[hit]
+        rho = ray_segments(domain, c, v, np.full(len(v), domain.diameter))[:, 0]
         y = c + rho[:, None] * v
         nu = y / (a * a)
         nu /= np.linalg.norm(nu, axis=1)[:, None]
@@ -339,8 +336,6 @@ def boundary_quadrature(domain: StarDomain, n: int, x=None, support_radius=None)
             i, j = (axis + 1) % 3, (axis + 2) % 3
             for sgn in (-1.0, 1.0):
                 d = h[axis] - sgn * c[axis]
-                if d <= 0.0:
-                    continue
                 (yi, wi), (yj, wj) = side(i, d), side(j, d)
                 face = np.empty((m, m, 3))
                 face[..., axis] = sgn * h[axis]

@@ -20,7 +20,7 @@ def run(tmp_path, command, *flags):
 def test_config_round_trip_is_identity(tmp_path):
     cfg = RunConfig(domain="ellipsoid:a=2,b=3,c=2.5", field="constant:1,0,0",
                     seed=7, threads=2, out_dir="runs",
-                    quad=QuadratureConfig(n_alpha=24, r_factor=1.3),
+                    quad=QuadratureConfig(n_alpha=24),
                     grid_origin=(-1.1, -2.2, -3.3), grid_counts=(5, 6, 7),
                     h="2e-3", tol="1e-4", n_points="12", margin=0.17,
                     eps_list=(0.3, 0.15, 0.05), point=(0.1, 0.2, 0.3),
@@ -48,7 +48,6 @@ n_alpha = 12
 n_rho = 20
 sphere_nodes = 590
 n_surface = 266
-r_factor = 1.3
 
 [grid]
 origin = -1.1000000000000001,0,0.0025000000000000001
@@ -71,8 +70,7 @@ def test_effective_ini_bytes_are_pinned(tmp_path):
     cfg = RunConfig(domain="box:h=1.5,2,2.5", field="constant:0.5,-2,3",
                     seed=11, threads=3, out_dir="runs/a",
                     quad=QuadratureConfig(n_alpha=12, n_rho=20,
-                                          sphere_nodes=590, n_surface=266,
-                                          r_factor=1.3),
+                                          sphere_nodes=590, n_surface=266),
                     grid_origin=(-1.1, 0.0, 2.5e-3),
                     grid_spacing=(0.1, 0.2, 1.0 / 3.0), grid_counts=(4, 5, 6),
                     h="2e-3", tol="1e-4", n_points="12", margin=0.17,
@@ -103,8 +101,11 @@ def test_bad_specs_exit_2(tmp_path, capsys):
     assert run(tmp_path, "curl-check", "--field", "vortex") == 2
     assert run(tmp_path, "curl-check", "--domain", "torus:r=2") == 2
     assert run(tmp_path, "curl-check", "--tol", "tight") == 2
-    # radial tables too small to interpolate: one cos(theta) row, no grid
-    for name, text in (("one_row.txt", "1,1\n1.5\n"), ("empty.txt", "0,0\n")):
+    # radial tables too small to interpolate (one cos(theta) row, no grid)
+    # or with a radius that is not finite
+    for name, text in (("one_row.txt", "1,1\n1.5\n"), ("empty.txt", "0,0\n"),
+                       ("inf.txt", "2,2\n1.5\n1.5\ninf\n1.5\n"),
+                       ("nan.txt", "2,2\n1.5\n1.5\nnan\n1.5\n")):
         table = tmp_path / name
         table.write_text(text)
         assert run(tmp_path, "validate-domain",
@@ -112,6 +113,7 @@ def test_bad_specs_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bad configuration: radial table grid 1 x 1" in err
     assert "bad configuration: radial table grid 0 x 0" in err
+    assert err.count("bad configuration: radial table radii must be finite") == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -139,15 +141,35 @@ def test_bad_specs_exit_2(tmp_path, capsys):
     ("eps-study", "--eps", "0.4,-0.2"),
     ("eps-study", "--eps", "0.1,0.2"),
     ("curl-check", "--seed", "-1"),
-    ("grad-check", "--n-points", "1", "--quad.r_factor", "inf"),
     ("curl-check", "--n-points", "1", "--margin", "nan"),
     ("curl-check", "--n-points", "1", "--margin", "-5"),
     ("curl-check", "--n-points", "1", "--margin", "5"),
+    ("curl-check", "--field", "constant:1,0"),
+    ("curl-check", "--field", "constant:1,0,0,0"),
+    ("solve", "--field", "constant:nan,0,0", "--grid.counts", "1,1,1",
+     "--grid.origin", "0,0,0"),
+    ("solve", "--domain", "ball:r0=2,rr=3"),
+    ("solve", "--domain", "ellipsoid:a=2,b=2.5,c=3,a=4"),
+    ("eps-study", "--point", "5,0,0"),
 ], ids=" ".join)
 def test_bad_counts_exit_2(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 2
     assert "bad configuration" in capsys.readouterr().err
     assert not (tmp_path / "effective.ini").exists()
+
+
+def test_removed_r_factor_is_refused(tmp_path, capsys):
+    # B_R's radius is fixed: neither the flag nor the INI key exists
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "grad-check", "--n-points", "1", "--quad.r_factor", "1.05")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --quad.r_factor" in capsys.readouterr().err
+    ini = tmp_path / "old.ini"
+    ini.write_text("[quad]\nr_factor = 1.05\n")
+    assert main(["grad-check", "--config", str(ini), "--out-dir",
+                 str(tmp_path / "out")]) == 2
+    assert "unknown config key [quad] r_factor" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "effective.ini").exists()
 
 
 def test_bad_config_file_choice_exits_2(tmp_path, capsys):

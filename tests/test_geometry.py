@@ -18,6 +18,7 @@ from starcurl.geometry import (
     validate_star_shape,
 )
 from starcurl.geometry import load_radial_table, save_radial_table
+from starcurl.quadrature import sphere_rule_from_count
 
 _shapes = [ball(2.0), ellipsoid(2.0, 2.5, 3.0), box(1.5, 1.5, 1.5)]
 
@@ -55,6 +56,8 @@ def test_scalar_descriptors():
         lambda: StarDomain("pentagon"),
         lambda: ball(float("nan")),
         lambda: ellipsoid(2.0, float("nan"), 2.0),
+        lambda: radial([0.5, -0.5], [0.0, np.pi], [[1.5, 1.5], [float("nan"), 1.5]]),
+        lambda: radial([0.5, -0.5], [0.0, np.pi], [[1.5, 1.5], [float("inf"), 1.5]]),
     ],
 )
 def test_unit_ball_containment_enforced(ctor):
@@ -68,23 +71,23 @@ def test_ray_segments_anchors():
     assert cross.shape == (1, 1)
     assert cross[0, 0] == pytest.approx(2.0, abs=1e-12)
 
-    cross = ray_segments(ball(2.0), np.array([3.0, 0.0, 0.0]), -along_x,
-                         np.array([10.0]))
-    assert cross[0] == pytest.approx([1.0, 5.0], abs=1e-12)
+    # rays start inside the domain
+    with pytest.raises(ValueError):
+        ray_segments(ball(2.0), np.array([3.0, 0.0, 0.0]), -along_x,
+                     np.array([10.0]))
 
     cross = ray_segments(ellipsoid(2.0, 3.0, 4.0), np.zeros(3),
                          np.array([[0.0, 0.0, 1.0]]), np.array([10.0]))
     assert cross.shape == (1, 1)
     assert cross[0, 0] == pytest.approx(4.0, abs=1e-12)
 
-    # rays parallel to two slabs of the box: inside both, or outside one
-    # (no crossing: the row is all padding, t_max)
+    # a ray parallel to two slabs of the box
     cross = ray_segments(box(1.5, 1.5, 1.5), np.zeros(3), along_x, np.array([5.0]))
     assert cross.shape == (1, 1)
     assert cross[0, 0] == pytest.approx(1.5, abs=1e-12)
-    cross = ray_segments(box(1.5, 1.5, 1.5), np.array([0.0, 2.0, 0.0]), along_x,
-                         np.array([5.0]))
-    assert np.all(cross == 5.0)
+    with pytest.raises(ValueError):
+        ray_segments(box(1.5, 1.5, 1.5), np.array([0.0, 2.0, 0.0]), along_x,
+                     np.array([5.0]))
 
 
 def test_ray_segments_rejects_non_unit_direction():
@@ -96,7 +99,7 @@ def test_ray_segments_rejects_non_unit_direction():
 def _check_alternation(dom, x, u, t_max, cross):
     """Rows increase inside (0, t_max] and are padded with t_max; between
     consecutive crossings the midpoints alternate inside and outside,
-    starting from contains(x).  Returns the crossing count of each ray."""
+    starting inside at x.  Returns the crossing count of each ray."""
     assert cross.shape[0] == u.shape[0] and cross.shape[1] >= 1
     counts = []
     for i in range(u.shape[0]):
@@ -105,7 +108,7 @@ def _check_alternation(dom, x, u, t_max, cross):
         assert np.all(np.diff(row) >= 0.0)
         assert np.all(row[row >= t_max[i]] == t_max[i])
         edges = np.concatenate([[0.0], row[row < t_max[i]], [t_max[i]]])
-        inside = bool(contains(dom, x))
+        inside = True
         for lo, hi in zip(edges[:-1], edges[1:]):
             if hi - lo > 1e-9:
                 assert contains(dom, x + 0.5 * (lo + hi) * u[i]) == inside
@@ -116,14 +119,12 @@ def _check_alternation(dom, x, u, t_max, cross):
 
 @pytest.mark.parametrize("dom", _shapes)
 def test_ray_segment_membership(dom, rng):
-    for _ in range(100):
-        x = rng.uniform(-4.0, 4.0, size=3)
+    for x in sample_interior(dom, 100, rng):
         u = sample_directions(10, rng)
         t_max = rng.uniform(0.5, 8.0, size=10)
         counts = _check_alternation(dom, x, u, t_max, ray_segments(dom, x, u, t_max))
-        assert np.all(counts <= 2)
-        if contains(dom, x):
-            assert np.all(counts <= 1)
+        # one crossing on each ray that gets out of the convex domain
+        assert np.array_equal(counts, ~contains(dom, x + t_max[:, None] * u))
 
 
 def test_ray_segment_membership_radial(rng):
@@ -131,15 +132,16 @@ def test_ray_segment_membership_radial(rng):
     # domain and come back in
     dom = radial_from_function(lambda u: 1.1 + 2.5 * u[..., 2] ** 4, 48, 96)
     most = 0
-    for _ in range(40):
-        x = rng.uniform(-3.0, 3.0, size=3)
+    for x in sample_interior(dom, 40, rng):
         u = sample_directions(10, rng)
         t_max = np.full(10, 6.0)
         counts = _check_alternation(dom, x, u, t_max, ray_segments(dom, x, u, t_max))
         most = max(most, counts.max())
+    # from the upper lobe, 24 of the 1064 directions of the product rule
+    # leave and come back (3 or 5 crossings)
     x = np.array([1.2, 0.0, 1.7])
-    u = sample_directions(200, rng)
-    t_max = np.full(200, 6.0)
+    u = sphere_rule_from_count(1064).points
+    t_max = np.full(len(u), 6.0)
     counts = _check_alternation(dom, x, u, t_max, ray_segments(dom, x, u, t_max))
     assert max(most, counts.max()) >= 3
 
@@ -177,7 +179,8 @@ def test_radial_gap_anchor():
     assert gaps == pytest.approx([1.5, 0.1])
 
 
-@pytest.mark.parametrize("bad", ["sphere:R0=2", "ball:radius=2", "box:h=1.5,1.5", "ball"])
+@pytest.mark.parametrize("bad", ["sphere:R0=2", "ball:radius=2", "box:h=1.5,1.5", "ball",
+                                 "ball:r0=2,rr=3", "ellipsoid:a=2,b=2.5,c=3,a=4"])
 def test_domain_spec_rejects(bad):
     with pytest.raises(ValueError):
         parse_domain(bad)

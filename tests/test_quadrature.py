@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,8 @@ MOL = Mollifier()
 def test_config_defaults():
     cfg = QuadratureConfig()
     assert (cfg.n_alpha, cfg.n_rho, cfg.sphere_nodes, cfg.n_surface) == (16, 32, 266, 590)
-    assert cfg.r_factor == 1.05
+    assert [f.name for f in fields(cfg)] == ["n_alpha", "n_rho", "sphere_nodes",
+                                            "n_surface"]
 
 
 @pytest.mark.parametrize(
@@ -41,7 +44,8 @@ def test_config_defaults():
     ],
 )
 def test_config_rejections(kwargs):
-    with pytest.raises(ValueError):
+    # r_factor is no field any more: B_R has the fixed radius ball_radius
+    with pytest.raises(TypeError if "r_factor" in kwargs else ValueError):
         QuadratureConfig(**kwargs)
 
 
@@ -121,46 +125,48 @@ def test_support_caps_front_cap_meets_outer_cap_at_the_support(radius):
 
 
 def test_ball_radius():
-    assert ball_radius(ball(2.0), QuadratureConfig()) == pytest.approx(2.1)
-    assert ball_radius(ellipsoid(2.0, 2.5, 3.0), QuadratureConfig(r_factor=1.2)) == pytest.approx(3.6)
+    assert ball_radius(ball(2.0)) == pytest.approx(2.1)
+    assert ball_radius(ellipsoid(2.0, 2.5, 3.0)) == pytest.approx(3.15)
 
 
 def test_ball_integrator_volume():
-    # R = 1.25 * 1.6 = 2 exactly
-    dom = ball(1.6)
-    cfg = QuadratureConfig(r_factor=1.25)
+    # R = 1.05 * (2 / 1.05) = 2
+    dom = ball(2.0 / 1.05)
+    cfg = QuadratureConfig()
     val = integrate_ball_singular(lambda y: np.ones(y.shape[0]), np.zeros(3), dom, cfg)
     assert val == pytest.approx(4.0 * np.pi * 8.0 / 3.0, abs=1e-8)
 
 
 def test_ball_integrator_desingularizes_inverse_square():
-    dom = ball(1.6)
-    cfg = QuadratureConfig(r_factor=1.25)
+    dom = ball(2.0 / 1.05)
+    cfg = QuadratureConfig()
     x = np.array([0.3, 0.0, 0.0])
     val = integrate_ball_singular(
         lambda y: 1.0 / np.sum((y - x) ** 2, axis=1), x, dom, cfg)
     # per-ray reduction: the integral equals the mean exit radius over S^2
     rule = sphere_rule(40, 80)
     xu = rule.points @ x
-    rho_max = -xu + np.sqrt(xu * xu + 4.0 - float(x @ x))
+    rho_max = -xu + np.sqrt(xu * xu + ball_radius(dom) ** 2 - float(x @ x))
     ref = float(np.dot(rule.weights, rho_max))
     assert val == pytest.approx(ref, rel=1e-8)
 
 
 def test_ball_integrator_segment_splitting():
-    # zero-extended indicator of an inner ball: the jump at its boundary is
-    # resolved by per-ray segmentation, not smeared
+    # zero-extended indicator of the domain inside B_R: the jump at its
+    # boundary is resolved by per-ray segmentation, not smeared
     dom = ball(1.5)
-    cfg = QuadratureConfig(r_factor=1.4)
+    cfg = QuadratureConfig()
     val = integrate_ball_singular(
         lambda y: (np.sum(y * y, axis=1) < 1.5**2).astype(float), np.zeros(3), dom, cfg)
     assert val == pytest.approx(4.0 * np.pi * 1.5**3 / 3.0, rel=1e-8)
 
 
 def test_ball_integrator_rejects_outside_point():
-    with pytest.raises(ValueError):
-        integrate_ball_singular(lambda y: np.ones(y.shape[0]),
-                                np.array([3.0, 0.0, 0.0]), ball(2.0), QuadratureConfig())
+    # (2.05, 0, 0) lies inside B_R (radius 2.1) but outside the domain
+    for x in ([3.0, 0.0, 0.0], [2.05, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="inside the domain"):
+            integrate_ball_singular(lambda y: np.ones(y.shape[0]),
+                                    np.array(x), ball(2.0), QuadratureConfig())
 
 
 def test_ball_integrator_deterministic():
@@ -298,8 +304,7 @@ def test_boundary_quadrature_box_sees_its_faces_from_x(x, bound):
     assert np.max(np.abs(seen - full)) <= bound
 
 
-@pytest.mark.parametrize("x", [None, (0.9, -0.4, 0.6), (1.3, 1.2, -0.7),
-                               (2.0, 0.3, -0.2)])
+@pytest.mark.parametrize("x", [None, (0.9, -0.4, 0.6), (1.3, 1.2, -0.7)])
 def test_boundary_quadrature_box_nodes_lie_on_their_faces(x):
     h = np.array([1.5, 2.0, 2.5])
     pts, w, nu = boundary_quadrature(box(*h), 600, x=x, support_radius=0.9)
@@ -309,9 +314,19 @@ def test_boundary_quadrature_box_nodes_lie_on_their_faces(x):
     assert np.array_equal(np.abs(nu), np.eye(3)[k])
     assert np.array_equal(pts[np.arange(len(k)), k], nu[np.arange(len(k)), k] * h[k])
     assert np.all(np.abs(pts) <= h * (1.0 + 1e-12))
-    if x is not None and x[0] > h[0]:
-        # x lies beyond the face y_1 = +h_1, which gets no node
-        assert not np.any(nu[:, 0] > 0.0)
+    # every face gets the same m x m rule, m = round(sqrt(600 / 6))
+    assert np.array_equal(np.bincount(2 * k + (nu[np.arange(len(k)), k] > 0)),
+                          np.full(6, 100))
+
+
+@pytest.mark.parametrize("dom,x", [
+    (ball(2.0), (2.5, 0.0, 0.0)),
+    (ellipsoid(2.0, 2.5, 3.0), (0.0, 0.0, 3.2)),
+    (box(1.5, 2.0, 2.5), (2.0, 0.3, -0.2)),
+])
+def test_boundary_quadrature_rejects_outside_point(dom, x):
+    with pytest.raises(ValueError):
+        boundary_quadrature(dom, 600, x=x, support_radius=0.9)
 
 
 @pytest.mark.parametrize("x", [(1.3, 0.2, -0.4), (0.3, -0.5, 0.4)])
