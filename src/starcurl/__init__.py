@@ -16,7 +16,7 @@ from .fields import (ModulusTable, VectorField, dini_integral,
 from .geometry import (StarDomain, ball, box, contains, ellipsoid,
                        parse_domain, radial, radial_from_function,
                        sample_interior, validate_star_shape)
-from .kernels import grad_kernel_N, kernel_N, kernel_N_form, kernel_N_tilde
+from .kernels import grad_kernel_N, kernel_N, kernel_N_tilde
 from .operators import (CurlInverseOp, FieldSampleGrid, bogovskii,
                         boundary_flux_term, curl_inverse, curl_inverse_eps,
                         curl_of_curl_inverse, eval_grid, grad_curl_inverse)
@@ -35,7 +35,7 @@ __all__ = [
     "parse_domain", "contains", "sample_interior", "validate_star_shape",
     "registry_get", "registry_names", "parse_field",
     "modulus_of_continuity", "dini_integral",
-    "kernel_N", "kernel_N_tilde", "grad_kernel_N", "kernel_N_form",
+    "kernel_N", "kernel_N_tilde", "grad_kernel_N",
     "curl_inverse", "curl_inverse_eps", "bogovskii", "grad_curl_inverse",
     "curl_of_curl_inverse", "boundary_flux_term", "eval_grid",
     "fd_jacobian", "fd_curl", "fd_div", "curl_reference", "curl_check",

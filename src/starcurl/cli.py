@@ -364,7 +364,7 @@ _COMMANDS = {
     "curl-check": _Command(_curl_check, 20, _curl_tol, "curl_check.csv"),
     "grad-check": _Command(_grad_check, 10, 1e-3, "grad_check.csv"),
     "eps-study": _Command(_eps_study, csv="eps_study.csv"),
-    "equiv-check": _Command(_equiv_check, 10, 1e-6, "equiv_check.csv"),
+    "equiv-check": _Command(_equiv_check, 10, 1e-10, "equiv_check.csv"),
     "boundary-check": _Command(_boundary_check, 100, 0.0,
                                "boundary_check.csv"),
     "div-solve": _Command(_div_solve, 10, 1e-3, "div_solve.csv"),

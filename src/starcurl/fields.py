@@ -138,9 +138,11 @@ def _nondini():
 
 def _bumpcurl():
     """Curl of a bump-shaped vector potential: solenoidal and identically
-    zero outside |x| < 1.6, so it is insensitive to everything the ambient
-    domain does at its boundary.  The clean reference case for potential
-    reconstruction."""
+    zero outside |x| < 1.6.  On a domain that contains B(0, 1.6) it is
+    insensitive to everything the domain does at its boundary, the clean
+    reference case for potential reconstruction.  Elsewhere its support
+    crosses the boundary and it has normal flux there: on box(1.5) the flux
+    fraction int |g . nu| / int |g| over the faces is about 0.064."""
     r0 = 1.6
 
     def phi_grad(y):

@@ -2,27 +2,29 @@
 
 All kernels reduce to one line integral, _line_integrals:
 
-    int psi(base + s direction) * weight(s) ds
+    int psi(y + alpha d) * weight(alpha) d alpha,        d = x - y,
 
-over the exact interval of s >= floor where the line crosses the bump
-support B(0, r_psi).  That interval is the solution of a quadratic
-inequality (_support_batch; alpha_support for one pair); restricting the
-quadrature to it is what makes fixed-order rules accurate.  With
-d = x - y and u = d / |d|, the three parameterizations of N differ only in
-their arguments (base, direction, floor, weight):
-
-    alpha: (y, d, 1, alpha (alpha - 1))             the defining form
-    xi:    (y, u, |d|, xi (xi - |d|) / |d|^3)       arc length from y
-    r:     (x, u, 0, r (r + |d|) / |d|^3)           arc length beyond x
+over the exact interval of alpha >= 1 where the segment's extension beyond
+x crosses the bump support B(0, r_psi).  That interval is the solution of a
+quadratic inequality (_support_batch; alpha_support for one pair);
+restricting the quadrature to it is what makes fixed-order rules accurate.
 
 The bump has essential singularities at the support-boundary roots of the
 quadratic (it is flat to all orders but not analytic there), which caps
 plain Gauss-Legendre at ~1e-5 accuracy for 16 nodes.  Each inner integral
 therefore uses a fixed graded subdivision of the interval -- panel edges at
 fractions (0.05, 0.25) from each root endpoint -- with n_alpha Gauss nodes
-per panel.  Measured worst-case agreement with dense reference rules is
-~2e-14 at n_alpha = 16, restoring the intended spectral behavior at a flat
-5x node cost.
+per panel, restoring the intended spectral behavior at a flat 5x node
+cost.  At n_alpha = 16 it agrees with the dense rule below to ~2e-14 of
+max |N| on most pairs; the worst, up to ~3e-12, are close pairs with x
+just inside the bump's edge, where the cut at alpha = 1 lies next to a
+support root.  R through either rule agrees to ~2e-14.
+
+The dense rule is kernel_N_reference: N from one plain Gauss-Legendre
+panel of _N_REFERENCE = 128 nodes on the same interval, with no graded
+panels and no knob.  It shares only psi and the support solve with
+kernel_N, so it is an independent oracle for the graded rule
+(verify.forms_check, `starcurl equiv-check`).
 
 Kernel catalogue (d = x - y throughout):
 
@@ -50,7 +52,7 @@ __all__ = [
     "alpha_support",
     "kernel_N",
     "kernel_N_tilde",
-    "kernel_N_form",
+    "kernel_N_reference",
     "grad_kernel_N",
     "kernel_aux",
     "kernel_bound_check",
@@ -66,6 +68,7 @@ _BOUND_CHUNK = 20_000   # pairs per batch of kernel_bound_check's scan
 _FRAC_SINGULAR = (0.05, 0.25)
 _FRAC_CLIPPED = (0.25, 0.5)
 N_PANELS = 5
+_N_REFERENCE = 128      # nodes of kernel_N_reference's one plain Gauss panel
 
 LEVI_CIVITA = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -87,22 +90,22 @@ class AlphaInterval:
         return 0.5 * (self.lo + self.hi)
 
 
-def _support_batch(base, direction, floor, r_psi: float):
-    """Vectorized interval solve of |base + s direction| < r_psi over
-    s >= floor, per row.  Returns (lo, hi, empty, clipped) arrays;
-    ``clipped`` marks rows whose left endpoint is the cut at the floor
-    rather than a support root."""
-    a = np.einsum("...i,...i->...", direction, direction)
-    b = np.einsum("...i,...i->...", base, direction)
-    c = np.einsum("...i,...i->...", base, base) - r_psi * r_psi
+def _support_batch(y, d, r_psi: float):
+    """Vectorized interval solve of |y + alpha d| < r_psi over alpha >= 1,
+    per row.  Returns (lo, hi, empty, clipped) arrays; ``clipped`` marks
+    rows whose left endpoint is the cut at alpha = 1 rather than a support
+    root."""
+    a = np.einsum("...i,...i->...", d, d)
+    b = np.einsum("...i,...i->...", y, d)
+    c = np.einsum("...i,...i->...", y, y) - r_psi * r_psi
     disc = b * b - a * c
     pos = disc > 0.0
     sq = np.sqrt(np.where(pos, disc, 0.0))
     root_lo = (-b - sq) / a
     hi = (-b + sq) / a
-    lo = np.maximum(floor, root_lo)
+    lo = np.maximum(1.0, root_lo)
     empty = ~pos | (hi <= lo)
-    clipped = root_lo < floor
+    clipped = root_lo < 1.0
     return lo, hi, empty, clipped
 
 
@@ -110,7 +113,7 @@ def alpha_support(x, y, r_psi: float) -> AlphaInterval:
     """Solve |d|^2 a^2 + 2 (y.d) a + |y|^2 - r_psi^2 < 0 for the segment
     parameter, intersected with [1, inf)."""
     _, y, d, _ = _as_batch(x, y)
-    lo, hi, empty, _ = _support_batch(y, d, 1.0, r_psi)
+    lo, hi, empty, _ = _support_batch(y, d, r_psi)
     if empty[0]:
         return AlphaInterval(0.0, 0.0, True)
     return AlphaInterval(float(lo[0]), float(hi[0]), False)
@@ -160,29 +163,25 @@ def _as_batch(x, y):
     return x, y, d, single
 
 
-def _line_integrals(base, direction, floor, mollifier, n, weights,
-                    grad_weights=()):
+def _line_integrals(y, d, mollifier, n, weights, grad_weights=()):
     """The one line integral behind every kernel: graded nodes on
-    {s >= floor : |base + s direction| < r_psi}, one psi pass (and one
-    grad psi pass when ``grad_weights`` is given), reduced against each
-    weight polynomial.
+    {alpha >= 1 : |y + alpha d| < r_psi}, one psi pass (and one grad psi
+    pass when ``grad_weights`` is given), reduced against each weight
+    polynomial.
 
-    ``direction`` is an (n, 3) batch; ``base`` is one point or one point
-    per row, and ``floor`` a scalar or one value per row.  Each weight is a
-    callable s -> weight array.  Scalar integrals come back with shape
-    (n,), then gradient integrals (from grad psi) with shape (n, 3).
+    y and d are (n, 3) batches.  Each weight is a callable alpha -> weight
+    array.  Scalar integrals come back with shape (n,), then gradient
+    integrals (from grad psi) with shape (n, 3).
     """
-    base = np.broadcast_to(base, direction.shape)
-    lo, hi, empty, clipped = _support_batch(base, direction, floor,
-                                            mollifier.support_radius)
-    s, w = _panel_nodes(lo, hi, empty, clipped, n)
+    lo, hi, empty, clipped = _support_batch(y, d, mollifier.support_radius)
+    a, w = _panel_nodes(lo, hi, empty, clipped, n)
     w = np.where(empty[..., None], 0.0, w)
-    pts = base[:, None, :] + s[..., None] * direction[:, None, :]
+    pts = y[:, None, :] + a[..., None] * d[:, None, :]
     psi_vals = mollifier.psi(pts)
-    outs = [np.einsum("np,np->n", w, psi_vals * wf(s)) for wf in weights]
+    outs = [np.einsum("np,np->n", w, psi_vals * wf(a)) for wf in weights]
     if grad_weights:
         gpsi = mollifier.grad_psi(pts)
-        outs += [np.einsum("np,npi->ni", w * wf(s), gpsi) for wf in grad_weights]
+        outs += [np.einsum("np,npi->ni", w * wf(a), gpsi) for wf in grad_weights]
     return outs
 
 
@@ -190,8 +189,7 @@ def kernel_N(x, y, mollifier: Mollifier, n_alpha: int = 16):
     """Curl-inverse kernel N(x, y); vectorized over rows of y, with x either
     one point or one point per row."""
     x, y, d, single = _as_batch(x, y)
-    (i0,) = _line_integrals(y, d, 1.0, mollifier, n_alpha,
-                            [lambda a: a * (a - 1.0)])
+    (i0,) = _line_integrals(y, d, mollifier, n_alpha, [lambda a: a * (a - 1.0)])
     out = d * i0[:, None]
     return out[0] if single else out
 
@@ -199,7 +197,7 @@ def kernel_N(x, y, mollifier: Mollifier, n_alpha: int = 16):
 def kernel_N_tilde(x, y, mollifier: Mollifier, n_alpha: int = 16):
     """Divergence-inverse kernel Ntilde(x, y); weight alpha^2."""
     x, y, d, single = _as_batch(x, y)
-    (i0,) = _line_integrals(y, d, 1.0, mollifier, n_alpha, [lambda a: a * a])
+    (i0,) = _line_integrals(y, d, mollifier, n_alpha, [lambda a: a * a])
     out = d * i0[:, None]
     return out[0] if single else out
 
@@ -209,7 +207,7 @@ def _grad_kernels(x, y, mollifier: Mollifier, n_alpha: int):
     pass over the same nodes."""
     x, y, d, single = _as_batch(x, y)
     i0, jm, km = _line_integrals(
-        y, d, 1.0, mollifier, n_alpha,
+        y, d, mollifier, n_alpha,
         [lambda a: a * (a - 1.0)],
         [lambda a: a * a * (a - 1.0), lambda a: a * (a - 1.0)],
     )
@@ -234,30 +232,21 @@ def kernel_aux(x, y, mollifier: Mollifier, n_alpha: int = 16):
     return _grad_kernels(x, y, mollifier, n_alpha)[1]
 
 
-def kernel_N_form(x, y, mollifier: Mollifier, form: str = "alpha", n: int = 16):
-    """N(x, y) through one of three equivalent line parameterizations;
-    vectorized over rows of y, with x either one point or one point per row.
+def kernel_N_reference(x, y, mollifier: Mollifier):
+    """N(x, y) from one plain Gauss-Legendre panel of _N_REFERENCE nodes on
+    the exact support interval; vectorized like kernel_N.  No graded panels
+    and no knob: it shares only psi and the support solve with kernel_N,
+    which makes it the independent oracle for kernel_N's graded rule."""
+    from .quadrature import gauss_legendre
 
-    alpha: the defining form (segment parameter alpha >= 1)
-    xi:    arc length from y, xi = alpha |d|, weight xi (xi - |d|) / |d|^3
-    r:     arc length beyond x, r = xi - |d|, weight r (r + |d|) / |d|^3,
-           bump evaluated at x + r u
-
-    The substitutions are affine, so all three agree to rounding at equal
-    node counts.
-    """
     x, y, d, single = _as_batch(x, y)
-    dn = np.linalg.norm(d, axis=-1)
-    u = d / dn[:, None]
-    # (base, direction, floor, weight, divisor of the integral)
-    forms = {"alpha": (y, d, 1.0, lambda a: a * (a - 1.0), 1.0),
-             "xi": (y, u, dn, lambda s: s * (s - dn[:, None]), dn**3),
-             "r": (x, u, 0.0, lambda s: s * (s + dn[:, None]), dn**3)}
-    if form not in forms:
-        raise ValueError(f"unknown kernel form {form!r}")
-    base, direction, floor, weight, divisor = forms[form]
-    (integral,) = _line_integrals(base, direction, floor, mollifier, n, [weight])
-    out = d * (integral / divisor)[:, None]
+    lo, hi, empty, _ = _support_batch(y, d, mollifier.support_radius)
+    t, wg = gauss_legendre(_N_REFERENCE)
+    half = np.where(empty, 0.0, 0.5 * (hi - lo))[:, None]
+    a = 0.5 * (lo + hi)[:, None] + half * t
+    psi_vals = mollifier.psi(y[:, None, :] + a[..., None] * d[:, None, :])
+    i0 = np.einsum("np,np->n", half * wg, psi_vals * a * (a - 1.0))
+    out = d * i0[:, None]
     return out[0] if single else out
 
 

@@ -2,9 +2,11 @@
 
 The oracles here never look inside the operators they certify: they probe
 them point by point (central differences, boundary offsets, truncation
-sweeps) and compare against closed-form references.  Every driver returns a
-CheckReport whose rows can be serialized to CSV; pass/fail is always
-``worst error <= tolerance`` in the report's metric.
+sweeps) and compare against closed-form references.  The one exception is
+forms_check, which recomputes the potential with the kernel's graded inner
+rule swapped for kernels.kernel_N_reference's dense one.  Every driver
+returns a CheckReport whose rows can be serialized to CSV; pass/fail is
+always ``worst error <= tolerance`` in the report's metric.
 
 curl_check certifies curl(Rg) = g - B[div g] + T[g . nu], whose right-hand
 side curl_reference builds; div_check certifies div(BF) = F and reports the
@@ -26,7 +28,7 @@ import numpy as np
 from .fields import ModulusTable, VectorField
 from .geometry import (boundary_distance, contains, radial_gap,
                        sample_directions)
-from .kernels import LEVI_CIVITA, kernel_N_form
+from .kernels import LEVI_CIVITA, kernel_N_reference
 from .operators import (CurlInverseOp, _zero_extended, bogovskii,
                         boundary_flux_term, curl_inverse, curl_inverse_eps,
                         curl_of_curl_inverse, domain_integral,
@@ -293,7 +295,7 @@ def eps_study(op: CurlInverseOp, g, x, eps_list) -> EpsTable:
     eps_list = tuple(float(e) for e in eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps list must be strictly decreasing")
-    x = np.asarray(x, dtype=float)
+    x = _interior_points(op, [x], 0.0, "eps_study")[0]
     base = curl_inverse(op, g, x)
     errs = []
     for e in eps_list:
@@ -343,30 +345,29 @@ def dini_report(g: VectorField, table: ModulusTable) -> CheckReport:
                        passed, rows[-1])
 
 
-_KERNEL_FORMS = ("alpha", "xi", "r")
-
-
-def _curl_inverse_form(op: CurlInverseOp, g, x, form: str) -> np.ndarray:
-    """The potential evaluated through one of the three equivalent
-    parameterizations of the kernel's line integral."""
-    mol, n_alpha = op.mollifier, op.quad.n_alpha
+def _curl_inverse_reference(op: CurlInverseOp, g, x) -> np.ndarray:
+    """The potential with kernel_N_reference's dense rule in place of
+    kernel_N's graded one: the same volume rule, another inner rule."""
+    mol = op.mollifier
     return _zero_extended(op, x, lambda x, y: np.cross(
-        g(y), kernel_N_form(x, y, mol, form, n_alpha)))
+        g(y), kernel_N_reference(x, y, mol)))
 
 
-def forms_check(op: CurlInverseOp, g, points, tol: float = 1e-6) -> CheckReport:
-    """Evaluate the potential through all three kernel parameterizations and
-    compare them pairwise, relative to the max magnitude per point (a
-    vector component can vanish by symmetry; the vector scale cannot,
-    except for g = 0 where absolute and relative agree anyway)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+def forms_check(op: CurlInverseOp, g, points, tol: float = 1e-10) -> CheckReport:
+    """Certify the graded inner rule of the kernel: the potential through
+    kernel_N (curl_inverse) against the potential through the dense
+    reference rule, at interior points, relative to the max magnitude per
+    point (a vector component can vanish by symmetry; the vector scale
+    cannot, except for g = 0 where absolute and relative agree anyway).
+    The two rules agree to ~2e-14 at the default budget."""
+    pts = _interior_points(op, points, 0.0, "forms_check")
     rows = []
     for x in pts:
-        vals = {f: _curl_inverse_form(op, g, x, f) for f in _KERNEL_FORMS}
-        scale = max(float(np.max(np.abs(v))) for v in vals.values())
-        for a, b in (("alpha", "xi"), ("alpha", "r"), ("xi", "r")):
-            for c in range(3):
-                rows.append(_row("forms_check", x, f"{a}-{b}.v{c + 1}",
-                                 vals[a][c], vals[b][c], tol, "rel",
-                                 scale=max(scale, 1e-300)))
+        graded = curl_inverse(op, g, x)
+        dense = _curl_inverse_reference(op, g, x)
+        scale = max(float(np.max(np.abs(graded))),
+                    float(np.max(np.abs(dense))), 1e-300)
+        for c in range(3):
+            rows.append(_row("forms_check", x, f"graded-dense.v{c + 1}",
+                             graded[c], dense[c], tol, "rel", scale=scale))
     return _report("forms_check", rows, tol, "rel")

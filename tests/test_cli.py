@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from starcurl.cli import RunConfig, dump_config, load_config, main
-from starcurl.geometry import radial_from_function, save_radial_table
+from starcurl.geometry import (boundary_distance, ellipsoid,
+                               radial_from_function, save_radial_table)
 from starcurl.quadrature import QuadratureConfig
 
 
@@ -269,6 +270,22 @@ def test_eps_study_cli(tmp_path, capsys):
 def test_equiv_check_cli(tmp_path):
     assert run(tmp_path, "equiv-check", "--n-points", "2") == 0
     assert (tmp_path / "equiv_check.csv").is_file()
+
+
+@pytest.mark.parametrize("domain", ["ball:r0=2", "ellipsoid:a=2,b=2.5,c=3",
+                                    "box:h=1.5,1.5,1.5", "table"])
+def test_equiv_check_on_every_domain_kind(tmp_path, capsys, domain):
+    # graded against dense inner rule at the default tolerance 1e-10; the
+    # table is the 32 x 64 tabulation of ellipsoid(2, 2.5, 3)
+    if domain == "table":
+        table = tmp_path / "ellipsoid.txt"
+        exact = ellipsoid(2.0, 2.5, 3.0)
+        save_radial_table(radial_from_function(
+            lambda u: boundary_distance(exact, u)), str(table))
+        domain = f"radial:file={table}"
+    assert run(tmp_path, "equiv-check", "--n-points", "2",
+               "--domain", domain) == 0
+    assert "tol=1.0e-10" in capsys.readouterr().out
 
 
 def test_boundary_check_cli(tmp_path):

@@ -1,13 +1,18 @@
 """The study scripts start: each one imports what it needs from the package
 and prints its usage, and the decomposition script closes its residual.
-The benchmark's tracer finds every package name it wraps."""
+The benchmark's tracer finds every package name it wraps, and every name
+the package exports resolves."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import starcurl
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -42,6 +47,17 @@ def test_perfbench_trace_targets_resolve():
             "assert trace_targets(Tracer())")
     res = _run_with_package(["-B", "-c", code, str(ROOT / "perfbench")])
     assert res.returncode == 0, res.stderr
+
+
+@pytest.mark.parametrize("module", ["starcurl"] + [
+    f"starcurl.{m.name}" for m in pkgutil.iter_modules(starcurl.__path__)])
+def test_star_import_resolves_every_public_name(module):
+    # a renamed or deleted export must not leave a stale __all__ entry
+    names = {}
+    exec(f"from {module} import *", names)
+    public = importlib.import_module(module).__all__
+    assert len(set(public)) == len(public)
+    assert [n for n in public if n not in names] == []
 
 
 def _run_with_package(args):

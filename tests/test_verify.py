@@ -5,6 +5,8 @@ small; the full certification runs live in the acceptance suite."""
 import numpy as np
 import pytest
 
+from starcurl import kernels
+from starcurl.cli import main
 from starcurl.fields import registry_get
 from starcurl.geometry import ball
 from starcurl.operators import CurlInverseOp
@@ -83,7 +85,7 @@ def test_report_fields_and_summary(op):
     assert isinstance(rep, CheckReport)
     assert rep.test == "forms_check"
     assert rep.n_points == 1
-    assert len(rep.rows) == 9          # 3 parameterization pairs x 3 comps
+    assert len(rep.rows) == 3          # graded against dense, 3 comps
     assert isinstance(rep.worst, CheckRow)
     assert rep.passed and rep.max_rel_err <= rep.tolerance
     s = rep.summary()
@@ -111,6 +113,15 @@ def test_points_must_clear_the_boundary(op):
         curl_check(op, RIGID, [[1.999, 0.0, 0.0]])
     with pytest.raises(ValueError, match="clearance"):
         grad_check(op, RIGID, [[2.5, 0.0, 0.0]])
+
+
+def test_exterior_points_are_refused(op):
+    # outside the domain R is exactly zero, so a comparison there passes
+    # or fails on zeros and measures nothing
+    with pytest.raises(ValueError, match="forms_check"):
+        forms_check(op, RIGID, [[5.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="eps_study"):
+        eps_study(op, RIGID, [5.0, 0.0, 0.0], [0.4, 0.2])
 
 
 # -- drivers ------------------------------------------------------------------
@@ -166,6 +177,17 @@ def test_boundary_check_exterior_zeros_and_decay(op):
     assert all(r.value == 0.0 for r in ext)
     frac = rep.rows[-1]
     assert frac.component == "decrease_fraction" and frac.value >= 0.95
+
+
+def test_forms_check_fails_when_the_graded_rule_breaks(op, monkeypatch,
+                                                      tmp_path):
+    # graded panel edges at (0.4, 0.45) of the interval move R by ~1.6e-8;
+    # the dense rule does not use them, so the check and the CLI fail
+    monkeypatch.setattr(kernels, "_FRAC_SINGULAR", (0.4, 0.45))
+    rep = forms_check(op, RIGID, [[0.3, -0.2, 0.1]])
+    assert not rep.passed and rep.max_rel_err > 1e-9, rep.summary()
+    assert main(["equiv-check", "--n-points", "2",
+                 "--out-dir", str(tmp_path)]) == 1
 
 
 def test_boundary_check_needs_a_point(op):
