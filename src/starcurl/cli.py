@@ -217,10 +217,10 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.seed < 0:
         raise ValueError(f"seed must be non-negative, got {cfg.seed}")
     eps = cfg.eps_list
-    if not (all(0.0 < e < math.inf for e in eps)
+    if not (len(eps) >= 2 and all(0.0 < e < math.inf for e in eps)
             and all(a > b for a, b in zip(eps, eps[1:]))):
-        raise ValueError("eps must be positive finite radii in strictly "
-                         "decreasing order, got " + _fmt_tuple(eps))
+        raise ValueError("eps must be at least two positive finite radii in "
+                         "strictly decreasing order, got " + _fmt_tuple(eps))
     if cfg.n_points != "auto" and int(cfg.n_points) < 1:
         raise ValueError(f"n_points must be at least 1, got {cfg.n_points}")
     if cfg.threads < 1:

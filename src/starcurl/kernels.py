@@ -12,13 +12,14 @@ restricting the quadrature to it is what makes fixed-order rules accurate.
 The bump has essential singularities at the support-boundary roots of the
 quadratic (it is flat to all orders but not analytic there), which caps
 plain Gauss-Legendre at ~1e-5 accuracy for 16 nodes.  Each inner integral
-therefore uses a fixed graded subdivision of the interval -- panel edges at
-fractions (0.05, 0.25) from each root endpoint -- with n_alpha Gauss nodes
-per panel, restoring the intended spectral behavior at a flat 5x node
-cost.  At n_alpha = 16 it agrees with the dense rule below to ~2e-14 of
-max |N| on most pairs; the worst, up to ~3e-12, are close pairs with x
-just inside the bump's edge, where the cut at alpha = 1 lies next to a
-support root.  R through either rule agrees to ~2e-14.
+therefore uses one fixed graded rule on [0, 1], mapped onto the row's
+interval -- panel edges _EDGES with slivers at fractions (0.05, 0.25) from
+both ends -- with n_alpha Gauss nodes per panel, restoring the intended
+spectral behavior at a flat 5x node cost.  Both ends get the slivers
+whether they are support roots or the cut at alpha = 1, which for x just
+inside the bump's edge lies next to a root.  At n_alpha = 16 it agrees
+with the dense rule below to ~3e-14 of max |N| over 400,000 pairs in
+ball(2) with |x - y| in [1e-3, 3].
 
 The dense rule is kernel_N_reference: N from one plain Gauss-Legendre
 panel of _N_REFERENCE = 128 nodes on the same interval, with no graded
@@ -62,12 +63,9 @@ __all__ = [
 _MIN_SEP = 1e-14
 _BOUND_CHUNK = 20_000   # pairs per batch of kernel_bound_check's scan
 
-# graded panel edge fractions, measured against dense references; see module
-# docstring.  A support-root endpoint gets slivers (0.05, 0.25); an endpoint
-# clipped at alpha = 1 is analytic and gets an even split instead.
-_FRAC_SINGULAR = (0.05, 0.25)
-_FRAC_CLIPPED = (0.25, 0.5)
-N_PANELS = 5
+# panel edges of the graded rule on [0, 1], slivers at both ends; see module
+# docstring
+_EDGES = (0.0, 0.05, 0.25, 0.75, 0.95, 1.0)
 _N_REFERENCE = 128      # nodes of kernel_N_reference's one plain Gauss panel
 
 LEVI_CIVITA = np.zeros((3, 3, 3))
@@ -92,9 +90,7 @@ class AlphaInterval:
 
 def _support_batch(y, d, r_psi: float):
     """Vectorized interval solve of |y + alpha d| < r_psi over alpha >= 1,
-    per row.  Returns (lo, hi, empty, clipped) arrays; ``clipped`` marks
-    rows whose left endpoint is the cut at alpha = 1 rather than a support
-    root."""
+    per row.  Returns (lo, hi, empty) arrays."""
     a = np.einsum("...i,...i->...", d, d)
     b = np.einsum("...i,...i->...", y, d)
     c = np.einsum("...i,...i->...", y, y) - r_psi * r_psi
@@ -105,53 +101,35 @@ def _support_batch(y, d, r_psi: float):
     hi = (-b + sq) / a
     lo = np.maximum(1.0, root_lo)
     empty = ~pos | (hi <= lo)
-    clipped = root_lo < 1.0
-    return lo, hi, empty, clipped
+    return lo, hi, empty
 
 
 def alpha_support(x, y, r_psi: float) -> AlphaInterval:
     """Solve |d|^2 a^2 + 2 (y.d) a + |y|^2 - r_psi^2 < 0 for the segment
     parameter, intersected with [1, inf)."""
-    _, y, d, _ = _as_batch(x, y)
-    lo, hi, empty, _ = _support_batch(y, d, r_psi)
+    y, d, _ = _as_batch(x, y)
+    lo, hi, empty = _support_batch(y, d, r_psi)
     if empty[0]:
         return AlphaInterval(0.0, 0.0, True)
     return AlphaInterval(float(lo[0]), float(hi[0]), False)
 
 
-def _panel_nodes(lo, hi, empty, clipped, n_alpha):
-    """Graded composite Gauss nodes on each row's interval.
-
-    Returns (alpha, w) of shape (..., N_PANELS * n_alpha); weights are zero
-    on empty rows.
-    """
+def _graded_rule(n_alpha):
+    """Composite Gauss nodes and weights on [0, 1], n_alpha per panel of
+    _EDGES."""
     from .quadrature import gauss_legendre
 
-    lo = np.asarray(lo, dtype=float)
-    span = np.where(empty, 0.0, hi - lo)
-    f1s, f2s = _FRAC_SINGULAR
-    f1c, f2c = _FRAC_CLIPPED
-    f1 = np.where(clipped, f1c, f1s)
-    f2 = np.where(clipped, f2c, f2s)
-    # edge fractions 0, f1, f2, 1 - F2, 1 - F1, 1 (right end always a root)
-    edges = np.stack([np.zeros_like(f1), f1, f2,
-                      np.full_like(f1, 1.0 - _FRAC_SINGULAR[1]),
-                      np.full_like(f1, 1.0 - _FRAC_SINGULAR[0]),
-                      np.ones_like(f1)], axis=-1)
-    edges = lo[..., None] + span[..., None] * edges
+    edges = np.asarray(_EDGES)
     t, wg = gauss_legendre(n_alpha)
-    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
-    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
-    alpha = mid[..., None] + half[..., None] * t
-    w = half[..., None] * wg
-    shp = alpha.shape[:-2] + (N_PANELS * n_alpha,)
-    return alpha.reshape(shp), w.reshape(shp)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mid + half * t).ravel(), (half * wg).ravel()
 
 
 def _as_batch(x, y):
-    """x and y as float arrays, y and d = x - y as (n, 3) batches, and
-    whether y was one point.  x must be one point (3,) or one point per row
-    of y, and no x may sit on its y."""
+    """y and d = x - y as (n, 3) float batches, and whether y was one
+    point.  x must be one point (3,) or one point per row of y, and no x
+    may sit on its y."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     y, single = (y[None, :], True) if y.ndim == 1 else (y, False)
@@ -160,7 +138,7 @@ def _as_batch(x, y):
     d = x - y
     if np.any(np.einsum("ni,ni->n", d, d) < _MIN_SEP * _MIN_SEP):
         raise ValueError("kernel evaluated too close to the singular point x = y")
-    return x, y, d, single
+    return y, d, single
 
 
 def _line_integrals(y, d, mollifier, n, weights, grad_weights=()):
@@ -173,9 +151,11 @@ def _line_integrals(y, d, mollifier, n, weights, grad_weights=()):
     array.  Scalar integrals come back with shape (n,), then gradient
     integrals (from grad psi) with shape (n, 3).
     """
-    lo, hi, empty, clipped = _support_batch(y, d, mollifier.support_radius)
-    a, w = _panel_nodes(lo, hi, empty, clipped, n)
-    w = np.where(empty[..., None], 0.0, w)
+    lo, hi, empty = _support_batch(y, d, mollifier.support_radius)
+    t, wt = _graded_rule(n)
+    span = np.where(empty, 0.0, hi - lo)[:, None]
+    a = lo[:, None] + span * t
+    w = span * wt
     pts = y[:, None, :] + a[..., None] * d[:, None, :]
     psi_vals = mollifier.psi(pts)
     outs = [np.einsum("np,np->n", w, psi_vals * wf(a)) for wf in weights]
@@ -188,7 +168,7 @@ def _line_integrals(y, d, mollifier, n, weights, grad_weights=()):
 def kernel_N(x, y, mollifier: Mollifier, n_alpha: int = 16):
     """Curl-inverse kernel N(x, y); vectorized over rows of y, with x either
     one point or one point per row."""
-    x, y, d, single = _as_batch(x, y)
+    y, d, single = _as_batch(x, y)
     (i0,) = _line_integrals(y, d, mollifier, n_alpha, [lambda a: a * (a - 1.0)])
     out = d * i0[:, None]
     return out[0] if single else out
@@ -196,7 +176,7 @@ def kernel_N(x, y, mollifier: Mollifier, n_alpha: int = 16):
 
 def kernel_N_tilde(x, y, mollifier: Mollifier, n_alpha: int = 16):
     """Divergence-inverse kernel Ntilde(x, y); weight alpha^2."""
-    x, y, d, single = _as_batch(x, y)
+    y, d, single = _as_batch(x, y)
     (i0,) = _line_integrals(y, d, mollifier, n_alpha, [lambda a: a * a])
     out = d * i0[:, None]
     return out[0] if single else out
@@ -205,7 +185,7 @@ def kernel_N_tilde(x, y, mollifier: Mollifier, n_alpha: int = 16):
 def _grad_kernels(x, y, mollifier: Mollifier, n_alpha: int):
     """dN and aux of the catalogue, each (..., i, m), from one psi / grad psi
     pass over the same nodes."""
-    x, y, d, single = _as_batch(x, y)
+    y, d, single = _as_batch(x, y)
     i0, jm, km = _line_integrals(
         y, d, mollifier, n_alpha,
         [lambda a: a * (a - 1.0)],
@@ -239,8 +219,8 @@ def kernel_N_reference(x, y, mollifier: Mollifier):
     which makes it the independent oracle for kernel_N's graded rule."""
     from .quadrature import gauss_legendre
 
-    x, y, d, single = _as_batch(x, y)
-    lo, hi, empty, _ = _support_batch(y, d, mollifier.support_radius)
+    y, d, single = _as_batch(x, y)
+    lo, hi, empty = _support_batch(y, d, mollifier.support_radius)
     t, wg = gauss_legendre(_N_REFERENCE)
     half = np.where(empty, 0.0, 0.5 * (hi - lo))[:, None]
     a = 0.5 * (lo + hi)[:, None] + half * t

@@ -82,13 +82,13 @@ class QuadratureConfig:
 @dataclass(frozen=True)
 class SphereRule:
     """Product rule on S^2: Gauss-Legendre in cos(theta) x uniform trapezoid
-    in phi.  Exact for spherical harmonics Y_l^m with l <= degree."""
+    in phi.  Exact for spherical harmonics Y_l^m with
+    l <= min(2 n_polar - 1, n_azimuth - 1)."""
 
     n_polar: int
     n_azimuth: int
     points: np.ndarray   # (n, 3) unit vectors
     weights: np.ndarray  # (n,), sum = 4 pi
-    degree: int
 
 
 @lru_cache(maxsize=64)
@@ -109,8 +109,7 @@ def sphere_rule(n_polar: int, n_azimuth: int) -> SphereRule:
     pts[:, 1] = np.outer(st, np.sin(ph)).ravel()
     pts[:, 2] = np.outer(ct, np.ones_like(ph)).ravel()
     w = np.outer(wt, np.full(n_azimuth, 2.0 * np.pi / n_azimuth)).ravel()
-    degree = min(2 * n_polar - 1, n_azimuth - 1)
-    return SphereRule(n_polar, n_azimuth, pts, w, degree)
+    return SphereRule(n_polar, n_azimuth, pts, w)
 
 
 def sphere_rule_from_count(n: int) -> SphereRule:

@@ -291,8 +291,10 @@ class EpsTable:
 
 def eps_study(op: CurlInverseOp, g, x, eps_list) -> EpsTable:
     """Sup-norm distance of the truncated potential from the full one, for
-    each cutoff radius in the given decreasing list."""
+    each cutoff radius in the given decreasing list of at least two."""
     eps_list = tuple(float(e) for e in eps_list)
+    if len(eps_list) < 2:
+        raise ValueError("eps list needs at least two radii to show a decrease")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps list must be strictly decreasing")
     x = _interior_points(op, [x], 0.0, "eps_study")[0]

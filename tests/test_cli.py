@@ -2,10 +2,14 @@
 codes, and the files each command leaves behind.  All runs go through
 main(argv) in process with budgets cut far below the defaults."""
 
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from starcurl.cli import RunConfig, dump_config, load_config, main
+from starcurl.cli import (RunConfig, _build_parser, _merge_flags, _validate,
+                          dump_config, load_config, main)
 from starcurl.geometry import (boundary_distance, ellipsoid,
                                radial_from_function, save_radial_table)
 from starcurl.quadrature import QuadratureConfig
@@ -141,6 +145,7 @@ def test_bad_specs_exit_2(tmp_path, capsys):
     ("grad-check", "--h", "nan"),
     ("eps-study", "--eps", "0.4,-0.2"),
     ("eps-study", "--eps", "0.1,0.2"),
+    ("eps-study", "--eps", "0.4"),
     ("curl-check", "--seed", "-1"),
     ("curl-check", "--n-points", "1", "--margin", "nan"),
     ("curl-check", "--n-points", "1", "--margin", "-5"),
@@ -182,6 +187,18 @@ def test_bad_config_file_choice_exits_2(tmp_path, capsys):
                  "--n-points", "1", "--out-dir", str(out)]) == 2
     assert "scalar must be one of" in capsys.readouterr().err
     assert not (out / "effective.ini").exists()
+
+
+def test_readme_commands_parse_and_validate():
+    # every `starcurl ...` line of the README is a command the CLI accepts;
+    # parsed, merged and validated only, never run
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [ln.strip() for ln in readme.read_text().splitlines()]
+    commands = [ln for ln in lines if ln.startswith("starcurl ")]
+    assert commands
+    for line in commands:
+        ns = _build_parser().parse_args(shlex.split(line)[1:])
+        _validate(_merge_flags(RunConfig(), ns))
 
 
 def test_unwritable_out_dir_exits_3(tmp_path):

@@ -439,3 +439,18 @@ def test_panel_values_pinned_at_equal_budget(spec):
     for name, want in PANEL_PINS[spec].items():
         got = _PANEL_OPS[name](op, g, PANEL_X)
         assert rel(got, np.array(want)) <= 1e-13, name
+
+
+def test_operators_converged_in_n_alpha_near_the_bump_edge():
+    # at |x| just inside the bump's edge r_psi = 0.9, kernels cut at
+    # alpha = 1 next to a support root; the graded rule's end slivers keep
+    # R, B and T within ~1e-14 of the n_alpha = 48 budget, and gradR
+    # within 2.6e-12 (the even split there gave 4e-12 to 1.3e-10)
+    x = np.array([0.85, 0.1, -0.2])
+    g = registry_get("nonsol")
+    dom = parse_domain("ball:r0=2")
+    op, fine = CurlInverseOp(dom), CurlInverseOp(dom, quad=QuadratureConfig(n_alpha=48))
+    bounds = {"R": 1e-12, "B": 1e-12, "T": 1e-12, "gradR": 2e-11}
+    for name, bound in bounds.items():
+        fn = _PANEL_OPS[name]
+        assert rel(fn(op, g, x), fn(fine, g, x)) <= bound, name

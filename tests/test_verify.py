@@ -181,9 +181,9 @@ def test_boundary_check_exterior_zeros_and_decay(op):
 
 def test_forms_check_fails_when_the_graded_rule_breaks(op, monkeypatch,
                                                       tmp_path):
-    # graded panel edges at (0.4, 0.45) of the interval move R by ~1.6e-8;
-    # the dense rule does not use them, so the check and the CLI fail
-    monkeypatch.setattr(kernels, "_FRAC_SINGULAR", (0.4, 0.45))
+    # graded panel edges bunched at the middle of the interval move R by
+    # ~1.3e-8; the dense rule does not use them, so the check and the CLI fail
+    monkeypatch.setattr(kernels, "_EDGES", (0.0, 0.4, 0.45, 0.55, 0.6, 1.0))
     rep = forms_check(op, RIGID, [[0.3, -0.2, 0.1]])
     assert not rep.passed and rep.max_rel_err > 1e-9, rep.summary()
     assert main(["equiv-check", "--n-points", "2",
@@ -202,6 +202,13 @@ def test_eps_study_requires_decreasing_list(op):
     for bad in ([0.4, 0.4], [0.2, 0.3]):
         with pytest.raises(ValueError, match="decreasing"):
             eps_study(op, RIGID, [0.3, 0.0, 0.0], bad)
+
+
+def test_eps_study_requires_two_radii(op):
+    # one radius has nothing to decrease against, and none has no first row
+    for short in ([], [0.4]):
+        with pytest.raises(ValueError, match="at least two"):
+            eps_study(op, RIGID, [0.3, 0.0, 0.0], short)
 
 
 def test_eps_study_table(op):
